@@ -283,8 +283,7 @@ func main() {
 	watchdog := flag.Int64("watchdog", 0, "abort a cell after this many P-cycles without progress (0 = auto when faults enabled)")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	progress := flag.Bool("progress", false, "stream per-cell progress to stderr")
-	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles), tick (naive reference loop), or sharded (parallel windows); rows are bit-identical either way")
-	shards := flag.Int("shards", 0, "parallel shards per cell under -kernel sharded (0 = min(GOMAXPROCS, radix)); wall-clock only")
+	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles) or tick (naive reference loop); rows are bit-identical either way")
 	telemetry_ := flag.Bool("telemetry", false, "per-cell metrics registry + cycle attribution (CSV output unchanged)")
 	slice := flag.Int64("slice", 0, "per-cell time-sliced sampling every N P-cycles (0 disables; needs -slice-dir)")
 	sliceDir := flag.String("slice-dir", "", "directory for per-cell time-slice files (implies -telemetry)")
@@ -348,9 +347,8 @@ func main() {
 	spec := sweepgrid.Spec{
 		Radix: *k, Dims: *n, Contexts: contexts, Mappings: *mappingsFlag,
 		Warmup: *warmup, Window: *window, Ratio: *ratio, Prefetch: *prefetch,
-		Kernel: *kernelFlag, Shards: *shards,
 		FaultRate: *faultRate, FaultSeed: *faultSeed, LinkMTTF: *linkMTTF,
-		Watchdog: *watchdog,
+		Kernel: *kernelFlag, Watchdog: *watchdog,
 	}
 	if *linkStall != "" {
 		stall, err := faults.ParseSpec("stall=" + *linkStall)
@@ -482,7 +480,7 @@ func main() {
 		rec := obs.NewRunRecord("sweep")
 		rec.Label = fmt.Sprintf("%s p=%s k=%d n=%d (%d cells, %d reused)", *mappingsFlag, *contextsFlag, *k, *n, g.Len(), reused)
 		rec.Radix, rec.Dims, rec.Nodes, rec.Mapping = *k, *n, g.Tor.Nodes(), *mappingsFlag
-		rec.Kernel, rec.Shards = g.Kernel.String(), *shards
+		rec.Kernel = g.Kernel.String()
 		rec.FillOutcome(time.Since(t0), int64(stats.Started)*(*warmup+*window))
 		if failed > 0 {
 			rec.Error = fmt.Sprintf("%d of %d cells failed", failed, len(cells))

@@ -87,32 +87,42 @@ func TestResumeRowsRejectsKernelMismatch(t *testing.T) {
 	body := strings.Join(testHeader, ",") + "\n" +
 		"identity,1,1,false,11.9,3.2,21.4,0.046,12.8,34.4,35.1,0.0285,0.138\n"
 
-	// A sharded sweep must refuse rows recorded under the tick kernel,
-	// and name both kernels in the error.
-	in := testGrid(t, "tick").KernelComment() + "\n" + body
-	_, err := resumeRows(strings.NewReader(in), testGrid(t, "sharded"))
-	if err == nil {
-		t.Fatal("tick-kernel resume file accepted for a sharded sweep")
-	}
-	for _, want := range []string{"tick", "sharded"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("kernel-mismatch error %q does not name %q", err, want)
+	// A sweep must refuse rows recorded under another kernel — including
+	// files left by the removed sharded kernel — and name both kernels
+	// in the error.
+	for _, tc := range []struct{ file, sweep string }{
+		{"tick", "event"},
+		{"event", "tick"},
+		{"sharded", "event"},
+	} {
+		in := "# kernel=" + tc.file + "\n" + body
+		_, err := resumeRows(strings.NewReader(in), testGrid(t, tc.sweep))
+		if err == nil {
+			t.Errorf("%s-kernel resume file accepted for a %s sweep", tc.file, tc.sweep)
+			continue
+		}
+		for _, want := range []string{tc.file, tc.sweep} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("kernel-mismatch error %q does not name %q", err, want)
+			}
 		}
 	}
 
-	// Matching kernel comment: accepted, rows indexed.
-	in = testGrid(t, "sharded").KernelComment() + "\n" + body
-	rows, err := resumeRows(strings.NewReader(in), testGrid(t, "sharded"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rows[rowKey("identity", "1")]; !ok {
-		t.Error("row under the matching kernel comment not indexed")
-	}
+	for _, kernel := range []string{"event", "tick"} {
+		// Matching kernel comment: accepted, rows indexed.
+		g := testGrid(t, kernel)
+		rows, err := resumeRows(strings.NewReader(g.KernelComment()+"\n"+body), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rows[rowKey("identity", "1")]; !ok {
+			t.Errorf("%s: row under the matching kernel comment not indexed", kernel)
+		}
 
-	// Legacy file with no kernel comment: accepted for compatibility.
-	if _, err := resumeRows(strings.NewReader(body), testGrid(t, "sharded")); err != nil {
-		t.Errorf("legacy resume file without kernel comment rejected: %v", err)
+		// Legacy file with no kernel comment: accepted for compatibility.
+		if _, err := resumeRows(strings.NewReader(body), g); err != nil {
+			t.Errorf("%s: legacy resume file without kernel comment rejected: %v", kernel, err)
+		}
 	}
 }
 

@@ -194,7 +194,12 @@ func (f *Fingerprint) validate() (int, error) {
 		f.CacheRespLatency < 0 || f.FillLatency < 0 || f.SWTrapLatency < 0 || f.RetryTimeout < 0 {
 		return 0, fmt.Errorf("checkpoint: negative protocol latency in fingerprint")
 	}
-	if f.Kernel > 2 {
+	switch {
+	case f.Kernel == 2:
+		// Mode 2 was the sharded kernel; naming it tells the holder of
+		// an old snapshot why it no longer restores.
+		return 0, fmt.Errorf("checkpoint: kernel mode 2 is the sharded kernel, which was removed; re-run under the event or tick kernel")
+	case f.Kernel > uint8(sim.KernelTick):
 		return 0, fmt.Errorf("checkpoint: unknown kernel mode %d", f.Kernel)
 	}
 	if f.SliceEvery < 0 {

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -246,6 +247,60 @@ func TestReadRejects(t *testing.T) {
 				t.Fatal("hostile input accepted")
 			}
 			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReadKernelMode pins the decoder's kernel-mode boundary: the two
+// live kernels restore, mode 2 (the removed sharded kernel) is refused
+// by name, and anything above it is unknown. The kernel byte is found
+// by diffing two encodings that differ only in that field.
+func TestReadKernelMode(t *testing.T) {
+	event, tick := testCheckpoint(), testCheckpoint()
+	event.FP.Kernel, tick.FP.Kernel = uint8(sim.KernelEvent), uint8(sim.KernelTick)
+	base, other := encode(t, event), encode(t, tick)
+	at := -1
+	for i := range base {
+		if base[i] != other[i] {
+			if at >= 0 {
+				t.Fatalf("encodings differ at bytes %d and %d, want only the kernel byte", at, i)
+			}
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatal("kernel mode does not reach the wire")
+	}
+	cases := []struct {
+		mode byte
+		want string // error substring; empty means the decode succeeds
+	}{
+		{0, ""},
+		{1, ""},
+		{2, "sharded kernel, which was removed"},
+		{3, "unknown kernel mode 3"},
+		{255, "unknown kernel mode 255"},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprint(tc.mode), func(t *testing.T) {
+			data := append([]byte{}, base...)
+			data[at] = tc.mode
+			c, err := Read(bytes.NewReader(data))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Read: %v", err)
+				}
+				if c.FP.Kernel != tc.mode {
+					t.Errorf("decoded kernel mode %d, want %d", c.FP.Kernel, tc.mode)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("checkpoint accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})

@@ -679,11 +679,30 @@ func (p *Protocol) sendSeq(src, dst int, kind MsgKind, addr uint64, txn *Transac
 // line is then present in the right state).
 func (p *Protocol) Access(nodeID, thread int, addr uint64, write bool, now int64) (hit bool) {
 	p.now = now
-	hit, deferred := p.AccessSharded(nodeID, thread, addr, write, now)
-	if deferred != nil {
-		deferred()
+	n := p.node(nodeID)
+	line := n.cache.LineAddr(addr)
+	if write {
+		if n.cache.AccessWrite(addr) {
+			return true
+		}
+	} else {
+		if n.cache.AccessRead(addr) {
+			return true
+		}
 	}
-	return hit
+	// Coalesce with an outstanding transaction on the same line.
+	if out, ok := n.mshr[line]; ok {
+		out.txn.waiters = append(out.txn.waiters, thread)
+		if write && !out.txn.Write {
+			out.txn.pendingWrite = true
+		}
+		return false
+	}
+	txn := p.newTxn(nodeID, line, write, now)
+	txn.waiters = append(txn.waiters, thread)
+	n.setMSHR(line, &outstanding{txn: txn})
+	p.issue(txn)
+	return false
 }
 
 // Prefetch starts a non-binding read transaction for the line
@@ -695,11 +714,18 @@ func (p *Protocol) Access(nodeID, thread int, addr uint64, write bool, now int64
 // transaction was issued.
 func (p *Protocol) Prefetch(nodeID int, addr uint64, now int64) bool {
 	p.now = now
-	issued, deferred := p.PrefetchSharded(nodeID, addr, now)
-	if deferred != nil {
-		deferred()
+	n := p.node(nodeID)
+	line := n.cache.LineAddr(addr)
+	if n.cache.Lookup(line) != cachesim.Invalid {
+		return false
 	}
-	return issued
+	if _, ok := n.mshr[line]; ok {
+		return false
+	}
+	txn := p.newTxn(nodeID, line, false, now)
+	n.setMSHR(line, &outstanding{txn: txn})
+	p.issue(txn)
+	return true
 }
 
 // WriteBehind starts a non-blocking write-ownership transaction for
@@ -711,11 +737,22 @@ func (p *Protocol) Prefetch(nodeID int, addr uint64, now int64) bool {
 // write chains behind it. It reports whether new work was initiated.
 func (p *Protocol) WriteBehind(nodeID int, addr uint64, now int64) bool {
 	p.now = now
-	initiated, deferred := p.WriteBehindSharded(nodeID, addr, now)
-	if deferred != nil {
-		deferred()
+	n := p.node(nodeID)
+	line := n.cache.LineAddr(addr)
+	if n.cache.Lookup(line) == cachesim.Modified {
+		return false
 	}
-	return initiated
+	if out, ok := n.mshr[line]; ok {
+		if !out.txn.Write && !out.txn.pendingWrite {
+			out.txn.pendingWrite = true
+			return true
+		}
+		return false
+	}
+	txn := p.newTxn(nodeID, line, true, now)
+	n.setMSHR(line, &outstanding{txn: txn})
+	p.issue(txn)
+	return true
 }
 
 // Outstanding reports whether a transaction is in flight at nodeID for
@@ -732,7 +769,25 @@ func (p *Protocol) Outstanding(nodeID int, addr uint64) bool {
 // it returns false immediately.
 func (p *Protocol) Join(nodeID, thread int, addr uint64, now int64) bool {
 	p.now = now
-	return p.JoinSharded(nodeID, thread, addr, now)
+	n := p.node(nodeID)
+	out, ok := n.mshr[n.cache.LineAddr(addr)]
+	if !ok {
+		return false
+	}
+	out.txn.waiters = append(out.txn.waiters, thread)
+	return true
+}
+
+// newTxn creates a miss transaction with the next machine-wide ID and
+// counts the miss.
+func (p *Protocol) newTxn(nodeID int, line uint64, write bool, now int64) *Transaction {
+	p.txnSeq++
+	if write {
+		p.writeMiss.Inc()
+	} else {
+		p.readMiss.Inc()
+	}
+	return &Transaction{ID: p.txnSeq, Node: nodeID, Addr: line, Write: write, Started: now}
 }
 
 // issue sends the transaction's initial request after the miss-handling

@@ -29,7 +29,6 @@ func buildCkptMachine(t *testing.T, c parityCell, mode KernelMode, tr *trace.Tra
 	cfg := DefaultConfig(tor, m, c.contexts)
 	cfg.Faults = c.spec
 	cfg.Kernel = mode
-	cfg.Shards = c.shards
 	cfg.Trace = tr
 	cfg.LocalDelay = c.localDelay
 	cfg.Checkpoint = ck
@@ -91,7 +90,6 @@ func restoreAndFinish(t *testing.T, c parityCell, mode KernelMode, path string, 
 	cfg := DefaultConfig(tor, m, c.contexts)
 	cfg.Faults = c.spec
 	cfg.Kernel = mode
-	cfg.Shards = c.shards
 	tr := trace.New(1 << 14)
 	cfg.Trace = tr
 	cfg.LocalDelay = c.localDelay
@@ -156,18 +154,13 @@ func compareCkptResults(t *testing.T, label string, want, got ckptResult) {
 	}
 }
 
-// ckptKernels is the kernel axis of the restore grid: both sequential
-// kernels plus the sharded kernel at one, two, and four shards.
+// ckptKernels is the kernel axis of the restore grid.
 var ckptKernels = []struct {
-	mode   KernelMode
-	shards int
-	label  string
+	mode  KernelMode
+	label string
 }{
-	{KernelEvent, 0, "event"},
-	{KernelTick, 0, "tick"},
-	{KernelSharded, 1, "sharded-s1"},
-	{KernelSharded, 2, "sharded-s2"},
-	{KernelSharded, 4, "sharded-s4"},
+	{KernelEvent, "event"},
+	{KernelTick, "tick"},
 }
 
 // TestCheckpointRestoreParity is the PR's core guarantee, run as a
@@ -187,7 +180,6 @@ func TestCheckpointRestoreParity(t *testing.T) {
 		mode := kc.mode
 		for _, c := range parityGrid() {
 			c, mode := c, mode
-			c.shards = kc.shards
 			t.Run(kc.label+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
@@ -303,7 +295,6 @@ func TestCheckpointAtWarmupBoundary(t *testing.T) {
 		spec: &faults.Spec{Seed: 7, LossRate: 0.01, LinkMTTF: 3000, StallMin: 8, StallMax: 64}}
 	for _, kc := range ckptKernels {
 		mode, c := kc.mode, c
-		c.shards = kc.shards
 		t.Run(kc.label, func(t *testing.T) {
 			dir := t.TempDir()
 			trRef := trace.New(1 << 14)

@@ -37,6 +37,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ClockRatio = 0 },
 		func(c *Config) { c.Mapping = mapping.Identity(topology.MustNew(8, 2)) },
 		func(c *Config) { c.CacheLines = 16; c.Contexts = 4 }, // words exceed cache
+		func(c *Config) { c.Kernel = 2 },                      // the removed sharded kernel
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig(tor, mapping.Identity(tor), 2)

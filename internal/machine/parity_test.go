@@ -20,7 +20,6 @@ type parityCell struct {
 	contexts   int
 	spec       *faults.Spec
 	localDelay int
-	shards     int // Config.Shards; only meaningful under KernelSharded
 }
 
 func parityGrid() []parityCell {
@@ -73,7 +72,6 @@ func buildParityMachine(t *testing.T, c parityCell, mode KernelMode, tr *trace.T
 	cfg.Kernel = mode
 	cfg.Trace = tr
 	cfg.LocalDelay = c.localDelay
-	cfg.Shards = c.shards
 	if c.spec != nil {
 		cfg.Watchdog = faults.Watchdog{StallCycles: 200000}
 	}
@@ -85,10 +83,10 @@ func buildParityMachine(t *testing.T, c parityCell, mode KernelMode, tr *trace.T
 }
 
 // kernelMeta drops trace events that describe how the kernel executed
-// the run (skip markers, shard windows) rather than what the simulated
-// machine did; parity comparisons exclude them.
+// the run (skip markers) rather than what the simulated machine did;
+// parity comparisons exclude them.
 func kernelMeta(e trace.Event) bool {
-	return e.Kind == trace.KindKernelSkip || e.Kind == trace.KindShardWindow
+	return e.Kind == trace.KindKernelSkip
 }
 
 // sweepRow formats metrics exactly as cmd/sweep does (same float verb
@@ -117,11 +115,10 @@ func normalizeKernelStats(met Metrics) Metrics {
 	return met
 }
 
-// TestKernelParity is the PR's core guarantee: the event kernel and
-// the sharded kernel (at 1, 2, and 4 shards) are bit-identical to the
-// tick kernel — Metrics, sweep CSV rows, per-processor cycle
-// accounting, and trace streams — across mappings, context counts,
-// and fault injection.
+// TestKernelParity is the PR's core guarantee: the event kernel is
+// bit-identical to the tick kernel — Metrics, sweep CSV rows,
+// per-processor cycle accounting, and trace streams — across mappings,
+// context counts, and fault injection.
 func TestKernelParity(t *testing.T) {
 	const warmup, window = 500, 2000
 	for _, c := range parityGrid() {
@@ -142,9 +139,8 @@ func TestKernelParity(t *testing.T) {
 				for node := 0; node < mach.cfg.Topo.Nodes(); node++ {
 					procs = append(procs, mach.Processor(node).Snapshot())
 				}
-				// Skip markers and shard windows are kernel
-				// bookkeeping, not machine behavior: drop them before
-				// comparing.
+				// Skip markers are kernel bookkeeping, not machine
+				// behavior: drop them before comparing.
 				events := tr.Filter(func(e trace.Event) bool { return !kernelMeta(e) })
 				return result{label: label, met: met, procs: procs, events: events, now: mach.Now()}
 			}
@@ -179,11 +175,6 @@ func TestKernelParity(t *testing.T) {
 			tick := run("tick", c, KernelTick)
 			event := run("event", c, KernelEvent)
 			compare(tick, event)
-			for _, shards := range []int{1, 2, 4} {
-				cs := c
-				cs.shards = shards
-				compare(tick, run("sharded/s"+strconv.Itoa(shards), cs, KernelSharded))
-			}
 
 			// Self-consistency of the skip accounting in event mode.
 			if got := event.met.CyclesTicked + event.met.CyclesSkipped; got != event.met.PCycles {
@@ -194,30 +185,6 @@ func TestKernelParity(t *testing.T) {
 				t.Errorf("tick kernel reported %d skipped cycles", tick.met.CyclesSkipped)
 			}
 		})
-	}
-}
-
-// TestShardedKernelDeterminismStress re-runs one sharded configuration
-// many times and demands identical Metrics every time. Goroutine
-// scheduling varies freely across runs; if any scheduling decision
-// could leak into simulated state (a lane merged in arrival order
-// instead of (cycle, node) order, say), twenty runs on a config with
-// multi-shard windows would catch it far more reliably than a single
-// differential pass.
-func TestShardedKernelDeterminismStress(t *testing.T) {
-	const runs = 20
-	c := parityCell{mapName: "random", contexts: 2, localDelay: 9, shards: 4}
-	var want Metrics
-	for i := 0; i < runs; i++ {
-		mach := buildParityMachine(t, c, KernelSharded, nil)
-		met := execMeasured(t, mach, 500, 2000)
-		if i == 0 {
-			want = met
-			continue
-		}
-		if !reflect.DeepEqual(met, want) {
-			t.Fatalf("run %d diverged:\n first: %+v\n now:   %+v", i, want, met)
-		}
 	}
 }
 

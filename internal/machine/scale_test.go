@@ -73,7 +73,7 @@ func TestLargeMachineSmoke(t *testing.T) {
 
 // TestWorklistInvariantBothKernels drives a randomized, zero-locality
 // workload — with transient link faults, so fault stalls churn the
-// active set too — under both the event and sharded kernels, and
+// active set too — under both the event and tick kernels, and
 // verifies the fabric's structural invariants (flit conservation,
 // occupancy masks, worklist exactness) after every execution chunk.
 // This is the machine-level counterpart of netsim's whitebox worklist
@@ -81,16 +81,9 @@ func TestLargeMachineSmoke(t *testing.T) {
 // (processor → protocol → fabric → delivery) rather than through
 // synthetic Sends.
 func TestWorklistInvariantBothKernels(t *testing.T) {
-	kernels := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"event", nil},
-		{"sharded", func(c *Config) { c.Kernel = KernelSharded; c.Shards = 4 }},
-	}
-	for _, k := range kernels {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
+	for _, mode := range []KernelMode{KernelEvent, KernelTick} {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
 			tor := topology.MustNew(8, 2)
 			cfg := DefaultConfig(tor, mapping.Random(tor, 3), 2)
 			cfg.Workload = workload.UniformConfig{
@@ -104,9 +97,7 @@ func TestWorklistInvariantBothKernels(t *testing.T) {
 				Seed:              11,
 			}
 			cfg.Faults = &faults.Spec{Seed: 5, LinkMTTF: 2000}
-			if k.mutate != nil {
-				k.mutate(&cfg)
-			}
+			cfg.Kernel = mode
 			mach, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

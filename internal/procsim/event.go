@@ -52,9 +52,9 @@ const maxMergeOps = 64
 // Merging is a function of program position only, never of how often
 // NextEvent is polled: a non-empty lookahead slot ends the merge even
 // when it holds a compute op parked by a previous capped fold. The
-// sharded kernel depends on this — it polls NextEvent on a different
-// schedule than the sequential loop, and both must leave the context
-// in bit-identical state.
+// event and tick kernels depend on this — they poll NextEvent on
+// different schedules (tick mode only with attribution on), and both
+// must leave the context in bit-identical state.
 func (p *Processor) mergeBursts(c *context) {
 	if c.pending != nil || c.look != nil {
 		return

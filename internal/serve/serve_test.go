@@ -100,6 +100,30 @@ func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRejected posts a 2 MiB JSON body — one value, so
+// the decoder must read past the bound — to each query endpoint and
+// expects 413 rather than an unbounded read.
+func TestOversizedBodiesRejected(t *testing.T) {
+	s := startServer(t, Config{BatchWindow: -1})
+	base := "http://" + s.Addr()
+	pad := strings.Repeat("a", 2<<20)
+	for path, body := range map[string]string{
+		"/v1/solve": `{"preset":"` + pad + `"}`,
+		"/v1/sweep": `{"mappings":"` + pad + `"}`,
+	} {
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var e errorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413 (error %q)", path, resp.StatusCode, e.Error)
+		}
+	}
+}
+
 func TestGainEndpointMatchesExpectedGain(t *testing.T) {
 	s := startServer(t, Config{BatchWindow: -1})
 	base := "http://" + s.Addr()
@@ -252,6 +276,24 @@ func TestSweepLocalFallbackMatchesDirectRun(t *testing.T) {
 }
 
 // startWorkers spins up n in-process workers registered with s.
+// TestSweepRejectsBadKernel: an unknown kernel — including the removed
+// sharded kernel — is a client error, refused before any cell runs.
+func TestSweepRejectsBadKernel(t *testing.T) {
+	s := startServer(t, Config{BatchWindow: -1})
+	base := "http://" + s.Addr()
+	for _, kernel := range []string{"sharded", "parallel", "EVENT"} {
+		spec := testSweepSpec()
+		spec.Kernel = kernel
+		body, status := postSweep(t, base, SweepRequest{Spec: spec})
+		if status != http.StatusBadRequest {
+			t.Errorf("kernel %q: status = %d, want 400", kernel, status)
+		}
+		if !strings.Contains(body, `valid kinds: \"event\", \"tick\"`) {
+			t.Errorf("kernel %q: error %q does not list the valid kinds", kernel, body)
+		}
+	}
+}
+
 func startWorkers(t *testing.T, s *Server, n int) []*Worker {
 	t.Helper()
 	workers := make([]*Worker, n)

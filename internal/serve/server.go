@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -162,14 +163,25 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-// decodePost enforces POST + JSON body on the /v1 query endpoints.
+// maxBodyBytes bounds every decoded request body. Queries, sweep specs
+// and worker chunks are a few hundred bytes; anything near this size is
+// a broken or hostile client.
+const maxBodyBytes = 1 << 20
+
+// decodePost enforces POST + JSON body on the /v1 query endpoints. A
+// body over maxBodyBytes is refused with 413.
 func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST with a JSON body"))
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
@@ -342,7 +354,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		rec.Label = fmt.Sprintf("sweep %s k=%d n=%d (%d cells, policy %s, %d workers)",
 			g.Spec.Mappings, g.Spec.Radix, g.Spec.Dims, g.Len(), policy, len(runners))
 		rec.Radix, rec.Dims, rec.Nodes, rec.Mapping = g.Spec.Radix, g.Spec.Dims, g.Tor.Nodes(), g.Spec.Mappings
-		rec.Kernel, rec.Shards = g.Kernel.String(), g.Spec.Shards
+		rec.Kernel = g.Kernel.String()
 		rec.FillOutcome(time.Since(t0), int64(g.Len())*(g.Spec.Warmup+g.Spec.Window))
 		if err != nil {
 			rec.Error = err.Error()
