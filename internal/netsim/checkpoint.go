@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"locality/internal/stats"
 )
@@ -94,12 +95,12 @@ type CheckpointState struct {
 // no buffered flits, no held virtual outputs, and all arbitration
 // rotors at their initial values.
 func (nw *Network) routerZero(v int) bool {
-	if nw.routerFlits[v] != 0 {
+	if nw.routerFlits[v] != 0 || nw.own[v] != [2]uint64{} {
 		return false
 	}
 	base := v * nw.nin
 	for key := 0; key < nw.nin; key++ {
-		if nw.owner[base+key] != nil || nw.lastGranted[base+key] != 0 {
+		if nw.lastGranted[base+key] != 0 {
 			return false
 		}
 	}
@@ -165,9 +166,9 @@ func (nw *Network) Checkpoint() CheckpointState {
 		for key := 0; key < nw.nin; key++ {
 			in := &nw.in[base+key]
 			var flits []FlitState // nil when empty, matching the codec
-			for n := 0; n < in.count; n++ {
-				f := in.buf[(in.head+n)%len(in.buf)]
-				flits = append(flits, FlitState{Msg: ref(f.msg), Seq: f.seq, ArrivedAt: f.arrivedAt})
+			for n := int32(0); n < in.count; n++ {
+				f := in.buf[(int(in.head)+int(n))%len(in.buf)]
+				flits = append(flits, FlitState{Msg: ref(f.msg), Seq: int(f.seq), ArrivedAt: f.arrivedAt})
 			}
 			rs.Inputs[key] = flits
 		}
@@ -207,14 +208,16 @@ func (nw *Network) Checkpoint() CheckpointState {
 // network must have been built with the same configuration; the
 // delivery callback and fault model stay as wired. Every router and
 // queue absent from the sparse state is reset to zero, and the active
-// worklist is rebuilt from the restored occupancy.
+// worklist is rebuilt from the restored occupancy, as are the derived
+// routing caches: each buffered head flit's requested output key and
+// each router's owned-output mask.
 func (nw *Network) Restore(s CheckpointState) error {
 	nodes := nw.nodes
 	for i, ms := range s.Messages {
 		if ms.Src < 0 || ms.Src >= nodes || ms.Dst < 0 || ms.Dst >= nodes {
 			return fmt.Errorf("netsim: message %d endpoints %d→%d out of range", i, ms.Src, ms.Dst)
 		}
-		if ms.Size < 1 || ms.Remaining < 0 || ms.Remaining > ms.Size {
+		if ms.Size < 1 || ms.Size > math.MaxInt32 || ms.Remaining < 0 || ms.Remaining > ms.Size {
 			return fmt.Errorf("netsim: message %d size %d / remaining %d invalid", i, ms.Size, ms.Remaining)
 		}
 		if ms.CurDim < -1 || ms.CurDim >= nw.dims || ms.VCClass < 0 || ms.VCClass > 1 {
@@ -322,6 +325,7 @@ func (nw *Network) Restore(s CheckpointState) error {
 	for v := 0; v < nodes; v++ {
 		nw.routerFlits[v] = 0
 		nw.occ[v] = [2]uint64{}
+		nw.own[v] = [2]uint64{}
 		nw.injectQ[v] = nil
 		nw.isActive[v] = false
 	}
@@ -331,23 +335,17 @@ func (nw *Network) Restore(s CheckpointState) error {
 		v := rs.Index
 		base := v * nin
 		for i, flits := range rs.Inputs {
-			in := &nw.in[base+i]
-			if len(flits) > 0 && in.buf == nil {
-				in.buf = make([]flit, nw.cfg.BufferDepth)
+			// The buffers were emptied above; pushing rebuilds the
+			// occupancy counts and each head flit's cached output key.
+			for _, f := range flits {
+				nw.pushFlit(v, i, flit{msg: msgs[f.Msg], seq: int32(f.Seq), arrivedAt: f.ArrivedAt})
 			}
-			in.head, in.count = 0, len(flits)
-			for n, f := range flits {
-				in.buf[n] = flit{msg: msgs[f.Msg], seq: f.Seq, arrivedAt: f.ArrivedAt}
-			}
-			if len(flits) > 0 {
-				nw.setOcc(v, i)
-			}
-			nw.routerFlits[v] += int32(len(flits))
 		}
 		for i, owner := range rs.Owner {
 			if owner != -1 {
 				nw.owner[base+i] = msgs[owner]
 				nw.ownerInput[base+i] = int32(rs.OwnerInput[i])
+				nw.own[v][i>>6] |= 1 << (i & 63)
 			}
 			nw.lastGranted[base+i] = int32(rs.LastGranted[i])
 		}

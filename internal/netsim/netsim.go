@@ -31,6 +31,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -73,13 +74,19 @@ func (m *Message) NetworkLatency() int64 { return m.DeliveredAt - m.InjectedAt }
 
 // flit is one channel-width unit of a message in flight.
 type flit struct {
-	msg       *Message
-	seq       int   // 0-based flit index; 0 is the head
+	msg *Message
+	seq int32 // 0-based flit index; 0 is the head
+	// key is the virtual output key a head flit requests at the router
+	// whose buffer holds it, computed once when the head is pushed
+	// there (unused for body flits). A head's routing state changes
+	// only in the commit that moves it out of the buffer, so the key
+	// stays exact for as long as the flit waits.
+	key       int32
 	arrivedAt int64 // cycle the flit entered its current buffer
 }
 
 func (f flit) isHead() bool { return f.seq == 0 }
-func (f flit) isTail() bool { return f.seq == f.msg.Size-1 }
+func (f flit) isTail() bool { return int(f.seq) == f.msg.Size-1 }
 
 // fifo is a bounded flit queue (one switch input buffer). It is a value
 // type so buffers pack into one flat slice per network; the ring
@@ -88,21 +95,25 @@ func (f flit) isTail() bool { return f.seq == f.msg.Size-1 }
 // The depth is owned by the network and passed in where needed.
 type fifo struct {
 	buf   []flit
-	head  int
-	count int
+	head  int32
+	count int32 // ≤ depth, which New bounds below 2³¹
 }
 
-func (q *fifo) full(depth int) bool { return q.count == depth }
+func (q *fifo) full(depth int) bool { return int(q.count) == depth }
 func (q *fifo) empty() bool         { return q.count == 0 }
 
 func (q *fifo) push(f flit, depth int) {
-	if q.count == depth {
+	if int(q.count) == depth {
 		panic("netsim: push to full buffer")
 	}
 	if q.buf == nil {
 		q.buf = make([]flit, depth)
 	}
-	q.buf[(q.head+q.count)%len(q.buf)] = f
+	i := int(q.head) + int(q.count)
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = f
 	q.count++
 }
 
@@ -115,7 +126,10 @@ func (q *fifo) peek() flit {
 
 func (q *fifo) pop() flit {
 	f := q.peek()
-	q.head = (q.head + 1) % len(q.buf)
+	q.head++
+	if int(q.head) == len(q.buf) {
+		q.head = 0
+	}
 	q.count--
 	return f
 }
@@ -155,11 +169,9 @@ type move struct {
 	outKey  int
 	release bool     // tail flit: release virtual output ownership
 	acquire *Message // head flit granted the output this cycle
-	newDim  int      // dimension entered by the acquiring head (fabric moves)
 	crossed bool     // this hop crosses the dateline
 	eject   bool
 	dest    int // destination router for fabric moves
-	destIn  int // destination input buffer index
 }
 
 // Network simulates the whole fabric.
@@ -175,7 +187,8 @@ type move struct {
 // v lives at index v·nin+key (nin = 4n+1 inputs/keys per router) and
 // per-port state at v·ports+o. The flat slices are allocated once in
 // New; because a fresh large slice is zeroed pages the OS has not
-// materialized, memory residency tracks the routers actually touched.
+// materialized, memory residency tracks the routers actually touched
+// (the neighbor table, which New fills, is the one exception).
 type Network struct {
 	cfg   Config
 	topo  *topology.Torus
@@ -195,6 +208,9 @@ type Network struct {
 	lastGranted []int32
 	// lastVC[v·ports+o] rotates the physical channel between its two VCs.
 	lastVC []uint8
+	// nbr[v·ports+o] is the router on the far side of port o of router
+	// v, precomputed so the per-flit path does no coordinate division.
+	nbr []int32
 
 	// routerFlits[v] counts flits buffered across all of router v's
 	// inputs, for O(1) occupancy checks.
@@ -204,6 +220,10 @@ type Network struct {
 	// topology (nin = 4n+1 ≤ 125 for n ≤ 31). decide consults it so a
 	// router's cost tracks its occupied inputs, not nin².
 	occ [][2]uint64
+	// own[v] is a bitmask over router v's virtual output keys: bit key
+	// is set iff owner[v·nin+key] is non-nil. decide ORs it into its
+	// candidate-key mask instead of scanning owner.
+	own [][2]uint64
 	// headReq is decide's per-router scratch: headReq[idx] is the
 	// virtual output key requested by the arrived head flit at input
 	// idx, or -1. Filled from occ at the top of each router's decide.
@@ -274,8 +294,8 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("netsim: nil topology")
 	}
-	if cfg.BufferDepth < 1 {
-		return nil, fmt.Errorf("netsim: buffer depth %d, must be ≥ 1", cfg.BufferDepth)
+	if cfg.BufferDepth < 1 || cfg.BufferDepth > math.MaxInt32 {
+		return nil, fmt.Errorf("netsim: buffer depth %d, must be in [1, 2^31)", cfg.BufferDepth)
 	}
 	if cfg.LocalDelay == 0 {
 		cfg.LocalDelay = 1
@@ -300,11 +320,35 @@ func New(cfg Config) (*Network, error) {
 		ownerInput:  make([]int32, n*nin),
 		lastGranted: make([]int32, n*nin),
 		lastVC:      make([]uint8, n*ports),
+		nbr:         make([]int32, n*ports),
 		routerFlits: make([]int32, n),
 		occ:         make([][2]uint64, n),
+		own:         make([][2]uint64, n),
 		headReq:     make([]int16, nin),
 		isActive:    make([]bool, n),
 		injectQ:     make([][]*Message, n),
+	}
+	// Fill the neighbor table without per-entry division: along
+	// dimension dim the coordinate steps every stride routers, so a hop
+	// moves the router number by ±stride, wrapping by ∓(k−1)·stride at
+	// the ring's ends (topology.Neighbor's arithmetic, unrolled).
+	k := nw.k
+	for dim, stride := 0, 1; dim < dims; dim, stride = dim+1, stride*k {
+		for lo := 0; lo < n; lo += stride * k {
+			for c := 0; c < k; c++ {
+				plus, minus := stride, -stride
+				if c == k-1 {
+					plus = -(k - 1) * stride
+				}
+				if c == 0 {
+					minus = (k - 1) * stride
+				}
+				for v := lo + c*stride; v < lo+(c+1)*stride; v++ {
+					nw.nbr[v*ports+2*dim] = int32(v + plus)
+					nw.nbr[v*ports+2*dim+1] = int32(v + minus)
+				}
+			}
+		}
 	}
 	if cfg.Faults != nil {
 		nw.downAt = make([]int64, n*ports)
@@ -332,6 +376,17 @@ func (nw *Network) setOcc(v, idx int) {
 // clrOcc marks input idx of router v empty.
 func (nw *Network) clrOcc(v, idx int) {
 	nw.occ[v][idx>>6] &^= 1 << (idx & 63)
+}
+
+// pushFlit appends f to input idx of router v, caching a head flit's
+// requested output key for that router, and records the occupancy.
+func (nw *Network) pushFlit(v, idx int, f flit) {
+	if f.isHead() {
+		f.key = int32(nw.requestKey(v, f.msg))
+	}
+	nw.in[v*nw.nin+idx].push(f, nw.cfg.BufferDepth)
+	nw.setOcc(v, idx)
+	nw.routerFlits[v]++
 }
 
 // activate puts router v on the worklist if it is not already there.
@@ -364,8 +419,8 @@ func (nw *Network) ActiveRouters() int { return len(nw.activeIDs) }
 // Send enqueues a message for injection at its source node. Messages
 // with src == dst bypass the fabric and deliver after LocalDelay.
 func (nw *Network) Send(msg *Message) error {
-	if msg.Size < 1 {
-		return fmt.Errorf("netsim: message size %d, must be ≥ 1", msg.Size)
+	if msg.Size < 1 || msg.Size > math.MaxInt32 {
+		return fmt.Errorf("netsim: message size %d, must be in [1, 2^31)", msg.Size)
 	}
 	if msg.Src < 0 || msg.Src >= nw.nodes || msg.Dst < 0 || msg.Dst >= nw.nodes {
 		return fmt.Errorf("netsim: src %d or dst %d out of range [0,%d)", msg.Src, msg.Dst, nw.nodes)
@@ -424,22 +479,6 @@ func (nw *Network) outputPortFor(v, dst int) (port int, eject bool) {
 	return 0, true
 }
 
-// crossesDateline reports whether traversing port o out of router v
-// crosses the ring's wraparound edge: coordinate k−1 → 0 in the
-// positive direction, 0 → k−1 in the negative.
-func (nw *Network) crossesDateline(v, o int) bool {
-	dim := o / 2
-	coord := v
-	for i := 0; i < dim; i++ {
-		coord /= nw.k
-	}
-	coord %= nw.k
-	if o%2 == 0 {
-		return coord == nw.k-1
-	}
-	return coord == 0
-}
-
 // vcFor returns the virtual channel a head flit must use on port o:
 // VC0 when entering a new dimension, its accumulated class otherwise.
 func vcFor(msg *Message, o int) int {
@@ -447,17 +486,6 @@ func vcFor(msg *Message, o int) int {
 		return 0
 	}
 	return msg.vcClass
-}
-
-// neighborFor returns the router on the far side of directional port o
-// of router v.
-func (nw *Network) neighborFor(v, o int) int {
-	dim := o / 2
-	dir := 1
-	if o%2 == 1 {
-		dir = -1
-	}
-	return nw.topo.Neighbor(v, dim, dir)
 }
 
 // Step advances the network one cycle.
@@ -514,8 +542,7 @@ func (nw *Network) stepInjection() {
 		if len(q) == 0 {
 			continue
 		}
-		in := &nw.in[v*nw.nin+nw.injectIn()]
-		if in.full(nw.cfg.BufferDepth) {
+		if nw.in[v*nw.nin+nw.injectIn()].full(nw.cfg.BufferDepth) {
 			continue
 		}
 		msg := q[0]
@@ -525,9 +552,7 @@ func (nw *Network) stepInjection() {
 			nw.injected.Inc()
 			nw.sizes.Add(float64(msg.Size))
 		}
-		in.push(flit{msg: msg, seq: seq, arrivedAt: nw.now}, nw.cfg.BufferDepth)
-		nw.setOcc(v, nw.injectIn())
-		nw.routerFlits[v]++
+		nw.pushFlit(v, nw.injectIn(), flit{msg: msg, seq: int32(seq), arrivedAt: nw.now})
 		nw.flitsIn++
 		nw.lastProgress = nw.now
 		msg.remaining--
@@ -574,16 +599,12 @@ func (nw *Network) decide() {
 				if !f.isHead() || f.arrivedAt >= nw.now {
 					continue
 				}
-				key := nw.requestKey(v, f.msg)
-				nw.headReq[idx] = int16(key)
-				avail[key>>6] |= 1 << (key & 63)
+				nw.headReq[idx] = int16(f.key)
+				avail[f.key>>6] |= 1 << (f.key & 63)
 			}
 		}
-		for key := 0; key < nw.nin; key++ {
-			if nw.owner[base+key] != nil {
-				avail[key>>6] |= 1 << (key & 63)
-			}
-		}
+		avail[0] |= nw.own[v][0]
+		avail[1] |= nw.own[v][1]
 		// Directional physical channels: arbitrate between the two VCs.
 		for o := 0; o < nw.ports; o++ {
 			if avail[(o*2)>>6]&(3<<((o*2)&63)) == 0 {
@@ -600,13 +621,12 @@ func (nw *Network) decide() {
 			firstVC := 1 - int(nw.lastVC[v*nw.ports+o])
 			granted := false
 			for attempt := 0; attempt < 2 && !granted; attempt++ {
-				vc := (firstVC + attempt) % 2
+				vc := firstVC ^ attempt
 				key := o*2 + vc
 				if avail[key>>6]&(1<<(key&63)) == 0 {
 					continue
 				}
-				if mv, ok := nw.decideVirtualOutput(v, key); ok {
-					nw.moves = append(nw.moves, mv)
+				if nw.decideVirtualOutput(v, key) {
 					nw.lastVC[v*nw.ports+o] = uint8(vc)
 					granted = true
 				}
@@ -615,28 +635,27 @@ func (nw *Network) decide() {
 		// Ejection port.
 		ek := nw.ejectKey()
 		if avail[ek>>6]&(1<<(ek&63)) != 0 {
-			if mv, ok := nw.decideVirtualOutput(v, ek); ok {
-				nw.moves = append(nw.moves, mv)
-			}
+			nw.decideVirtualOutput(v, ek)
 		}
 	}
 }
 
 // decideVirtualOutput picks the flit (if any) to send through virtual
-// output key this cycle at router v.
-func (nw *Network) decideVirtualOutput(v, key int) (move, bool) {
+// output key this cycle at router v, appending its move to nw.moves.
+// It reports whether a move was appended.
+func (nw *Network) decideVirtualOutput(v, key int) bool {
 	base := v * nw.nin
 	if owner := nw.owner[base+key]; owner != nil {
 		input := int(nw.ownerInput[base+key])
 		in := &nw.in[base+input]
 		if in.empty() {
-			return move{}, false
+			return false
 		}
 		f := in.peek()
 		if f.msg != owner || f.arrivedAt >= nw.now {
-			return move{}, false
+			return false
 		}
-		return nw.buildMove(v, input, key, f)
+		return nw.buildMove(v, input, key, f, nil)
 	}
 	// Arbitrate among input buffers whose head flit requests this key,
 	// consulting the gather phase's per-input request table instead of
@@ -649,17 +668,15 @@ func (nw *Network) decideVirtualOutput(v, key int) (move, bool) {
 			continue
 		}
 		f := nw.in[base+idx].peek()
-		mv, ok := nw.buildMove(v, idx, key, f)
-		if !ok {
+		if !nw.buildMove(v, idx, key, f, f.msg) {
 			// The downstream buffer is full; no other input can use
 			// this key more productively this cycle.
-			return move{}, false
+			return false
 		}
-		mv.acquire = f.msg
 		nw.lastGranted[base+key] = int32(idx)
-		return mv, true
+		return true
 	}
-	return move{}, false
+	return false
 }
 
 // requestKey returns the virtual output key the message's head flit
@@ -672,27 +689,40 @@ func (nw *Network) requestKey(v int, msg *Message) int {
 	return o*2 + vcFor(msg, o)
 }
 
-// buildMove checks downstream capacity for a candidate transfer.
-func (nw *Network) buildMove(v, input, key int, f flit) (move, bool) {
+// datelineHop reports whether the hop from router v through port o to
+// its neighbor next crosses the ring's wraparound edge. It does exactly
+// when the hop steps against the port's direction in router numbering:
+// neighbors along one dimension differ only in that dimension's digit,
+// so a positive-direction hop lands on a lower-numbered router only on
+// the k−1 → 0 wrap, and a negative-direction hop on a higher-numbered
+// one only on 0 → k−1.
+func datelineHop(v, o, next int) bool { return (o%2 == 0) == (next < v) }
+
+// buildMove checks downstream capacity for a candidate transfer and,
+// when there is room, appends the move to nw.moves in place. acquire is
+// the head flit's message when the transfer claims the output, else
+// nil. It reports whether a move was appended.
+func (nw *Network) buildMove(v, input, key int, f flit, acquire *Message) bool {
 	if key == nw.ejectKey() {
 		// The node sinks one flit per cycle unconditionally.
-		return move{router: v, input: input, outKey: key, release: f.isTail(), eject: true}, true
+		nw.moves = append(nw.moves, move{router: v, input: input, outKey: key, release: f.isTail(), acquire: acquire, eject: true})
+		return true
 	}
 	o := key / 2
-	next := nw.neighborFor(v, o)
+	next := int(nw.nbr[v*nw.ports+o])
 	if nw.in[next*nw.nin+key].full(nw.cfg.BufferDepth) {
-		return move{}, false
+		return false
 	}
-	return move{
+	nw.moves = append(nw.moves, move{
 		router:  v,
 		input:   input,
 		outKey:  key,
 		release: f.isTail(),
+		acquire: acquire,
 		dest:    next,
-		destIn:  key,
-		newDim:  o / 2,
-		crossed: nw.crossesDateline(v, o),
-	}, true
+		crossed: datelineHop(v, o, next),
+	})
+	return true
 }
 
 // commit applies the decided transfers.
@@ -711,11 +741,13 @@ func (nw *Network) commit() {
 		if mv.acquire != nil {
 			nw.owner[base+mv.outKey] = mv.acquire
 			nw.ownerInput[base+mv.outKey] = int32(mv.input)
+			nw.own[mv.router][mv.outKey>>6] |= 1 << (mv.outKey & 63)
 			if !mv.eject {
 				// Update the worm's dateline state as its head
 				// advances; body flits inherit the reserved path.
-				if f.msg.curDim != mv.newDim {
-					f.msg.curDim = mv.newDim
+				// outKey = 4·dim + 2·(dir<0 ? 1 : 0) + vc.
+				if newDim := mv.outKey / 4; f.msg.curDim != newDim {
+					f.msg.curDim = newDim
 					f.msg.vcClass = 0
 				}
 				if mv.crossed {
@@ -725,6 +757,7 @@ func (nw *Network) commit() {
 		}
 		if mv.release {
 			nw.owner[base+mv.outKey] = nil
+			nw.own[mv.router][mv.outKey>>6] &^= 1 << (mv.outKey & 63)
 		}
 		if mv.eject {
 			nw.flitsOut++
@@ -738,9 +771,9 @@ func (nw *Network) commit() {
 		}
 		nw.flitHops.Inc()
 		f.arrivedAt = nw.now
-		nw.in[mv.dest*nw.nin+mv.destIn].push(f, nw.cfg.BufferDepth)
-		nw.setOcc(mv.dest, mv.destIn)
-		nw.routerFlits[mv.dest]++
+		// A fabric hop keeps its virtual channel key: the flit enters
+		// the downstream input buffer with the same index.
+		nw.pushFlit(mv.dest, mv.outKey, f)
 		// A flit arriving this cycle cannot move before the next one
 		// (the arrivedAt >= now guard), so activating the destination
 		// now — for the next cycle's worklist — is timing-exact.
@@ -886,21 +919,37 @@ func (nw *Network) inFlightFlits() int {
 
 // Check verifies the fabric's structural invariants: flit conservation
 // (every flit ever accepted has either been ejected or is buffered in
-// a switch), the queued-message counter, the per-router flit counts
-// and input-occupancy masks, and the active-worklist invariant — the worklist holds exactly the
-// routers with buffered flits or queued injections (every such router,
-// no drained ones, no duplicates). Watchdog, fault, and restore code
-// call this so no code path can silently leak flits or corrupt the
-// worklist. O(N·nin), so not for per-cycle hot paths.
+// a switch), the queued-message counter, the per-router flit counts,
+// input-occupancy and owned-output masks, every buffered head flit's
+// cached output key, and the active-worklist invariant — the worklist
+// holds exactly the routers with buffered flits or queued injections
+// (every such router, no drained ones, no duplicates). Watchdog,
+// fault, and restore code call this so no code path can silently leak
+// flits or corrupt the worklist or the routing caches. O(N·nin +
+// buffered flits), so not for per-cycle hot paths.
 func (nw *Network) Check() error {
 	var inFlight int64
 	for v := 0; v < nw.nodes; v++ {
 		sum := int32(0)
-		var occ [2]uint64
+		var occ, own [2]uint64
 		for key := 0; key < nw.nin; key++ {
-			if c := nw.in[v*nw.nin+key].count; c > 0 {
-				sum += int32(c)
+			in := &nw.in[v*nw.nin+key]
+			if in.count > 0 {
+				sum += in.count
 				occ[key>>6] |= 1 << (key & 63)
+			}
+			for n := int32(0); n < in.count; n++ {
+				f := in.buf[(int(in.head)+int(n))%len(in.buf)]
+				if !f.isHead() {
+					continue
+				}
+				if want := nw.requestKey(v, f.msg); int(f.key) != want {
+					return fmt.Errorf("netsim: router %d input %d head flit %d→%d caches output key %d at cycle %d, route requests %d",
+						v, key, f.msg.Src, f.msg.Dst, f.key, nw.now, want)
+				}
+			}
+			if nw.owner[v*nw.nin+key] != nil {
+				own[key>>6] |= 1 << (key & 63)
 			}
 		}
 		if sum != nw.routerFlits[v] {
@@ -910,6 +959,10 @@ func (nw *Network) Check() error {
 		if occ != nw.occ[v] {
 			return fmt.Errorf("netsim: router %d input-occupancy mask drifted at cycle %d: mask %x, buffers %x",
 				v, nw.now, nw.occ[v], occ)
+		}
+		if own != nw.own[v] {
+			return fmt.Errorf("netsim: router %d owned-output mask drifted at cycle %d: mask %x, owners %x",
+				v, nw.now, nw.own[v], own)
 		}
 		occupied := sum > 0 || len(nw.injectQ[v]) > 0
 		if occupied && !nw.isActive[v] {

@@ -48,6 +48,9 @@ func TestSendValidation(t *testing.T) {
 	if err := nw.Send(&Message{Src: 0, Dst: 1, Size: 0}); err == nil {
 		t.Error("zero-size message should error")
 	}
+	if err := nw.Send(&Message{Src: 0, Dst: 1, Size: math.MaxInt32 + 1}); err == nil {
+		t.Error("message too long for a flit sequence number should error")
+	}
 	if err := nw.Send(&Message{Src: -1, Dst: 1, Size: 1}); err == nil {
 		t.Error("negative src should error")
 	}

@@ -1,13 +1,33 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"locality/internal/topology"
 )
 
 // White-box tests for the routing internals: virtual-channel dateline
-// discipline and minimal-direction tie balancing.
+// discipline, minimal-direction tie balancing, and the precomputed
+// neighbor table and dateline rule the hot path uses.
+
+// crossesDateline is the coordinate-based reference for whether
+// traversing port o out of router v crosses the ring's wraparound
+// edge: coordinate k−1 → 0 in the positive direction, 0 → k−1 in the
+// negative.
+func crossesDateline(tor *topology.Torus, v, o int) bool {
+	coord := tor.Coords(v)[o/2]
+	if o%2 == 0 {
+		return coord == tor.K()-1
+	}
+	return coord == 0
+}
+
+// tableCrossesDateline is the rule buildMove applies, on the neighbor
+// table.
+func tableCrossesDateline(nw *Network, v, o int) bool {
+	return datelineHop(v, o, int(nw.nbr[v*nw.ports+o]))
+}
 
 func TestCrossesDateline(t *testing.T) {
 	nw := newNet(t, 8, 2, 4)
@@ -27,8 +47,169 @@ func TestCrossesDateline(t *testing.T) {
 	tor := topology.MustNew(8, 2)
 	for _, tc := range tests {
 		v := tor.ID(tc.coords)
-		if got := nw.crossesDateline(v, tc.port); got != tc.want {
+		if got := crossesDateline(tor, v, tc.port); got != tc.want {
 			t.Errorf("crossesDateline(%v, port %d) = %v, want %v", tc.coords, tc.port, got, tc.want)
+		}
+		if got := tableCrossesDateline(nw, v, tc.port); got != tc.want {
+			t.Errorf("table dateline rule (%v, port %d) = %v, want %v", tc.coords, tc.port, got, tc.want)
+		}
+	}
+}
+
+// routeTopologies is the radix × dimension grid the route-table
+// differential tests cover: k = 2 (both directions reach the same
+// neighbor), odd radices (no halfway ties) and even ones.
+func routeTopologies() []*topology.Torus {
+	var tors []*topology.Torus
+	for _, k := range []int{2, 3, 4, 5, 8} {
+		for _, n := range []int{1, 2, 3} {
+			tors = append(tors, topology.MustNew(k, n))
+		}
+	}
+	return tors
+}
+
+func TestNeighborTableMatchesTopology(t *testing.T) {
+	for _, tor := range routeTopologies() {
+		nw, err := New(Config{Topo: tor, BufferDepth: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < tor.Nodes(); v++ {
+			for o := 0; o < nw.ports; o++ {
+				dir := 1
+				if o%2 == 1 {
+					dir = -1
+				}
+				if got, want := int(nw.nbr[v*nw.ports+o]), tor.Neighbor(v, o/2, dir); got != want {
+					t.Fatalf("%v: nbr[router %d, port %d] = %d, topology neighbor %d", tor, v, o, got, want)
+				}
+				if got, want := tableCrossesDateline(nw, v, o), crossesDateline(tor, v, o); got != want {
+					t.Fatalf("%v: router %d port %d: table dateline rule %v, coordinate test %v", tor, v, o, got, want)
+				}
+			}
+		}
+	}
+}
+
+// expectedRoute is topology.Route with the fabric's halfway tie-break
+// applied: Route resolves a tie toward the positive direction, while
+// the fabric sends it negative when the ring coordinate is odd (see
+// TestHalfwayTieBalanced).
+func expectedRoute(tor *topology.Torus, src, dst int) []topology.Hop {
+	hops := tor.Route(src, dst)
+	for i := 0; i < len(hops); {
+		dim := hops[i].Dim
+		j := i
+		for j < len(hops) && hops[j].Dim == dim {
+			j++
+		}
+		ca, cb := tor.Coords(hops[i].From)[dim], tor.Coords(dst)[dim]
+		if d := (cb - ca + tor.K()) % tor.K(); 2*d == tor.K() && ca%2 == 1 {
+			cur := hops[i].From
+			for h := i; h < j; h++ {
+				next := tor.Neighbor(cur, dim, -1)
+				hops[h] = topology.Hop{From: cur, To: next, Dim: dim, Dir: -1}
+				cur = next
+			}
+		}
+		i = j
+	}
+	return hops
+}
+
+// expectedVCs is the virtual channel of each hop under the dateline
+// discipline, from the coordinate-based crossing oracle: VC0 on
+// entering a dimension, VC1 after crossing that ring's dateline.
+func expectedVCs(tor *topology.Torus, hops []topology.Hop) []int {
+	vcs := make([]int, len(hops))
+	dim, class := -1, 0
+	for i, h := range hops {
+		if h.Dim != dim {
+			dim, class = h.Dim, 0
+		}
+		vcs[i] = class
+		o := 2 * h.Dim
+		if h.Dir < 0 {
+			o++
+		}
+		if crossesDateline(tor, h.From, o) {
+			class = 1
+		}
+	}
+	return vcs
+}
+
+// headHops sends one message through an otherwise idle network and
+// records the channel and virtual channel each of its head flit's hops
+// took, read off the input buffer the head lands in after every Step.
+func headHops(t *testing.T, nw *Network, src, dst int) ([]topology.Hop, []int) {
+	t.Helper()
+	msg := &Message{Src: src, Dst: dst, Size: 2}
+	if err := nw.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	var hops []topology.Hop
+	var vcs []int
+	at, in := src, nw.injectIn()
+	for step := 0; !nw.Quiesced(); step++ {
+		if step > 1000 {
+			t.Fatalf("%d→%d did not deliver", src, dst)
+		}
+		nw.Step()
+		for _, v32 := range nw.activeIDs {
+			v := int(v32)
+			for idx := 0; idx < nw.injectIn(); idx++ {
+				q := &nw.in[v*nw.nin+idx]
+				if q.empty() || q.peek().msg != msg || !q.peek().isHead() || (v == at && idx == in) {
+					continue
+				}
+				o := idx / 2
+				dir := 1
+				if o%2 == 1 {
+					dir = -1
+				}
+				hops = append(hops, topology.Hop{From: at, To: v, Dim: o / 2, Dir: dir})
+				vcs = append(vcs, idx%2)
+				at, in = v, idx
+			}
+		}
+	}
+	if msg.Hops != len(hops) {
+		t.Fatalf("%d→%d: message counted %d hops, head was seen on %d", src, dst, msg.Hops, len(hops))
+	}
+	return hops, vcs
+}
+
+func TestLoneMessageFollowsTopologyRoute(t *testing.T) {
+	for _, tor := range routeTopologies() {
+		nw, err := New(Config{Topo: tor, BufferDepth: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every source on the small tori; a spread of sources on the
+		// 512-node one keeps the test fast.
+		stride := 1
+		if tor.Nodes() > 125 {
+			stride = 37
+		}
+		for src := 0; src < tor.Nodes(); src += stride {
+			for dst := 0; dst < tor.Nodes(); dst++ {
+				if src == dst {
+					continue
+				}
+				got, vcs := headHops(t, nw, src, dst)
+				want := expectedRoute(tor, src, dst)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v: %d→%d head hops %v, want %v", tor, src, dst, got, want)
+				}
+				if wantVCs := expectedVCs(tor, want); !slices.Equal(vcs, wantVCs) {
+					t.Fatalf("%v: %d→%d hop virtual channels %v, want %v", tor, src, dst, vcs, wantVCs)
+				}
+			}
+		}
+		if err := nw.Check(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
