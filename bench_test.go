@@ -23,6 +23,7 @@ import (
 	"locality/internal/netsim"
 	"locality/internal/telemetry"
 	"locality/internal/topology"
+	"locality/internal/workload"
 )
 
 // benchValidationConfig is the reduced validation study used by the
@@ -261,27 +262,45 @@ func BenchmarkMachineCycle(b *testing.B) {
 
 // BenchmarkMachineRun measures full-system throughput of the two
 // execution kernels on contrasting workloads: idle-heavy (2000-cycle
-// compute bursts, long quiescent spans the event kernel can skip) and
+// compute bursts, long quiescent spans the event kernel can skip),
 // comm-heavy (the default 20-cycle grain, traffic nearly always in
-// flight). Reported metrics: simulated P-cycles per wall-clock second
-// and the window's skip ratio. The event kernel's idle-heavy
-// cycles/s should be well over 2× the tick kernel's; on comm-heavy
-// workloads the two converge, since a busy fabric makes every cycle
-// an event.
+// flight), and sparse-10k (the 100×100 gain-scale cell: 4000-cycle
+// staggered grain at p=1, where only a handful of the 10,000
+// processors have an event on any executed cycle). Reported metrics:
+// simulated P-cycles per wall-clock second and the window's skip
+// ratio. The event kernel's idle-heavy cycles/s should be well over 2×
+// the tick kernel's; on comm-heavy workloads the two converge, since a
+// busy fabric makes every cycle an event. On sparse-10k the event
+// kernel ticks only the due processors, so its cycles/s is far above
+// the tick kernel's dense per-cycle loop.
 func BenchmarkMachineRun(b *testing.B) {
-	tor := topology.MustNew(8, 2)
 	workloads := []struct {
-		name    string
-		compute int
+		name     string
+		radix    int
+		contexts int
+		compute  int
+		stagger  bool
 	}{
-		{"idle-heavy", 2000},
-		{"comm-heavy", 20},
+		{"idle-heavy", 8, 2, 2000, false},
+		{"comm-heavy", 8, 2, 20, false},
+		{"sparse-10k", 100, 1, 4000, true},
 	}
 	for _, wl := range workloads {
 		for _, mode := range []machine.KernelMode{machine.KernelTick, machine.KernelEvent} {
 			b.Run(wl.name+"/kernel="+mode.String(), func(b *testing.B) {
-				cfg := machine.DefaultConfig(tor, mapping.Random(tor, 1), 2)
+				tor := topology.MustNew(wl.radix, 2)
+				place := mapping.Random(tor, 1)
+				cfg := machine.DefaultConfig(tor, place, wl.contexts)
 				cfg.ReadCompute, cfg.WriteCompute = wl.compute, wl.compute
+				for cfg.CacheLines < wl.contexts*tor.Nodes() {
+					cfg.CacheLines *= 2
+				}
+				if wl.stagger {
+					cfg.Workload = workload.RelaxationConfig{
+						Graph: tor, Map: place, Instances: wl.contexts, LineSize: cfg.LineSize,
+						ReadCompute: wl.compute, WriteCompute: wl.compute, Stagger: true,
+					}
+				}
 				cfg.Kernel = mode
 				mach, err := machine.New(cfg)
 				if err != nil {

@@ -9,6 +9,7 @@ import (
 	"locality/internal/checkpoint"
 	"locality/internal/faults"
 	"locality/internal/procsim"
+	"locality/internal/sim"
 )
 
 // This file connects the machine to package checkpoint: building a
@@ -110,13 +111,14 @@ func (m *Machine) Fingerprint() checkpoint.Fingerprint { return m.fingerprint() 
 // Telemetry histograms and trace sinks are observational and are not
 // captured; a restored run re-attaches fresh ones.
 func (m *Machine) BuildCheckpoint(chunkDone int64) *checkpoint.Checkpoint {
+	m.ps.syncAll()
 	ck := &checkpoint.Checkpoint{
 		FP:          m.fingerprint(),
 		PNow:        m.pnow,
 		WindowStart: m.windowStart,
 		KSWindow:    m.ksWindow,
 		ChunkDone:   chunkDone,
-		Kernel:      m.kernel.Checkpoint(),
+		Kernel:      m.kernelCheckpoint(),
 		Procs:       make([]procsim.CheckpointState, len(m.procs)),
 		Proto:       m.proto.Checkpoint(),
 		Net:         m.net.Checkpoint(),
@@ -140,6 +142,68 @@ func (m *Machine) BuildCheckpoint(chunkDone int64) *checkpoint.Checkpoint {
 		}
 	}
 	return ck
+}
+
+// The kernel state in a checkpoint indexes components in the layout
+// the machine had when every processor was its own kernel component —
+// protocol 0, processor i at 1+i, network 1+n, sampler 2+n — so files
+// stay interchangeable across that change. The live kernel has one
+// processor component, at index 1; kernelCheckpoint and restoreKernel
+// translate. A pending charge to the processors is written as the node
+// that announced it, which is the index the per-processor kernel chose
+// (its ties went to the earliest-registered component, procSet's to
+// the lowest node). Processor attribution charges are written whole
+// into slot 1 and summed back on restore.
+
+// kernelCheckpoint captures the kernel state in the historical layout.
+func (m *Machine) kernelCheckpoint() sim.KernelState {
+	ks := m.kernel.Checkpoint()
+	n := len(m.procs)
+	switch {
+	case ks.Pending == 1:
+		ks.Pending = 1 + m.ps.arg
+	case ks.Pending > 1:
+		ks.Pending += n - 1
+	}
+	if ks.Attr != nil {
+		attr := make([]int64, len(ks.Attr)+n-1)
+		attr[0], attr[1] = ks.Attr[0], ks.Attr[1]
+		copy(attr[1+n:], ks.Attr[2:])
+		ks.Attr = attr
+	}
+	return ks
+}
+
+// restoreKernel restores kernel state written in the historical layout.
+func (m *Machine) restoreKernel(ks sim.KernelState) error {
+	n := len(m.procs)
+	comps := 2 + n // protocol, processors, network
+	if m.slicer != nil {
+		comps++
+	}
+	if ks.Pending < -1 || ks.Pending >= comps {
+		return fmt.Errorf("machine: checkpoint pending charge %d out of range", ks.Pending)
+	}
+	if ks.Attr != nil && len(ks.Attr) != comps {
+		return fmt.Errorf("machine: checkpoint attributes %d components, machine has %d", len(ks.Attr), comps)
+	}
+	switch {
+	case ks.Pending >= 1 && ks.Pending <= n:
+		m.ps.arg = ks.Pending - 1
+		ks.Pending = 1
+	case ks.Pending > n:
+		ks.Pending -= n - 1
+	}
+	if ks.Attr != nil {
+		attr := make([]int64, len(ks.Attr)-n+1)
+		attr[0] = ks.Attr[0]
+		for _, v := range ks.Attr[1 : 1+n] {
+			attr[1] += v
+		}
+		copy(attr[2:], ks.Attr[1+n:])
+		ks.Attr = attr
+	}
+	return m.kernel.Restore(ks)
 }
 
 // WriteCheckpoint writes a snapshot to path atomically (temp file plus
@@ -248,7 +312,8 @@ func RestoreFrom(cfg Config, ck *checkpoint.Checkpoint) (*Machine, error) {
 	if m.lossCoin != nil {
 		m.lossCoin.Restore(*ck.LossCoin)
 	}
-	if err := m.kernel.Restore(ck.Kernel); err != nil {
+	m.ps.reset(ck.PNow)
+	if err := m.restoreKernel(ck.Kernel); err != nil {
 		return nil, err
 	}
 	m.pnow = ck.PNow

@@ -14,6 +14,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"locality/internal/cachesim"
 	"locality/internal/cohsim"
@@ -210,6 +211,7 @@ type Machine struct {
 	net    *netsim.Network
 	proto  *cohsim.Protocol
 	procs  []*procsim.Processor
+	ps     *procSet // the processors' kernel component
 	kernel *sim.Kernel
 	pnow   int64
 	// pCyclesSince tracks the measurement window origin.
@@ -257,6 +259,14 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Building a large machine is one goroutine allocating megabytes
+	// with no scheduling point. A collection cycle that is still
+	// marking when such a burst starts cannot finish until the
+	// goroutine yields. Everything allocated meanwhile is kept as live,
+	// which can double the next heap goal. So New yields before its
+	// burst and again after it. A yield costs well under a microsecond.
+	runtime.Gosched()
+	defer runtime.Gosched()
 	m := &Machine{cfg: cfg}
 
 	if cfg.Workload != nil {
@@ -319,7 +329,7 @@ func New(cfg Config) (*Machine, error) {
 		Retry:            retry,
 		Loss:             loss,
 		OnReady: func(node, thread int, now int64) {
-			m.procs[node].Ready(thread, now)
+			m.ps.ready(node, thread, now)
 		},
 		OnComplete: func(txn *cohsim.Transaction) {
 			m.cfg.Trace.Emit(trace.Event{
@@ -525,8 +535,13 @@ func (m *Machine) Protocol() *cohsim.Protocol { return m.proto }
 // Network exposes the interconnect for detailed statistics.
 func (m *Machine) Network() *netsim.Network { return m.net }
 
-// Processor exposes one node's processor statistics.
-func (m *Machine) Processor(node int) *procsim.Processor { return m.procs[node] }
+// Processor exposes one node's processor statistics, exact as of the
+// last completed cycle (the event kernel lets idle processors lag; this
+// catches the node up first).
+func (m *Machine) Processor(node int) *procsim.Processor {
+	m.ps.sync(node)
+	return m.procs[node]
+}
 
 // Workload exposes the machine's workload.
 func (m *Machine) Workload() workload.Workload { return m.wl }

@@ -30,7 +30,9 @@ func (m *Machine) initTelemetry() {
 
 	m.net.PublishTelemetry(reg)
 	m.proto.PublishTelemetry(reg)
-	procsim.PublishTelemetry(reg, m.procs)
+	// The gauges read processor counters, which lag under the event
+	// kernel; m.ps is assigned later in New, before any read.
+	procsim.PublishTelemetry(reg, m.procs, func() { m.ps.syncAll() })
 
 	reg.GaugeFunc("machine/pcycle", func() float64 { return float64(m.pnow) })
 	// m.kernel is assigned later in New (buildKernel); gauges evaluate
@@ -88,15 +90,11 @@ func (m *Machine) Attribution() Attribution {
 	if attr == nil {
 		return Attribution{}
 	}
-	// Kernel registration order: protoComp, one component per
-	// processor, netComp, then the sampler when slicing is on.
-	n := len(m.procs)
-	a := Attribution{Protocol: attr[0], Network: attr[1+n], Unforced: none}
-	for _, v := range attr[1 : 1+n] {
-		a.Processors += v
-	}
-	if len(attr) > 2+n {
-		a.Sampler = attr[2+n]
+	// Kernel registration order: protoComp, procSet, netComp, then
+	// the sampler when slicing is on.
+	a := Attribution{Protocol: attr[0], Processors: attr[1], Network: attr[2], Unforced: none}
+	if len(attr) > 3 {
+		a.Sampler = attr[3]
 	}
 	return a
 }
@@ -156,6 +154,7 @@ func (m *Machine) baseNow() sliceBase {
 		delivered: ns.Delivered,
 		dropped:   ps.Dropped,
 	}
+	m.ps.syncAll()
 	for _, p := range m.procs {
 		b.busy += p.Snapshot().Busy
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -293,5 +294,54 @@ func TestLargeIdleFabricSpeedup(t *testing.T) {
 	t.Logf("mostly-idle 256×256: active %v, dense %v for %d cycles → %.0f× speedup", activeT, denseT, cycles, speedup)
 	if speedup < 10 {
 		t.Errorf("active worklist speedup %.1f× on a mostly-idle 256×256 torus, want ≥ 10×", speedup)
+	}
+}
+
+// TestMergeSortedTailMatchesSort is the differential check on the
+// worklist's top-of-Step ordering: merging the appended tail into the
+// sorted prefix must give exactly what sorting the whole worklist
+// gives, for random prefixes, tails and activation orders, with the
+// scratch buffer reused throughout.
+func TestMergeSortedTailMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var scratch []int32
+	for trial := 0; trial < 2000; trial++ {
+		universe := 1 + rng.Intn(300)
+		perm := rng.Perm(universe)
+		ids := make([]int32, rng.Intn(universe+1))
+		for i := range ids {
+			ids[i] = int32(perm[i])
+		}
+		sorted := rng.Intn(len(ids) + 1)
+		slices.Sort(ids[:sorted])
+		want := slices.Clone(ids)
+		slices.Sort(want)
+		scratch = mergeSortedTail(ids, sorted, scratch)
+		if !slices.Equal(ids, want) {
+			t.Fatalf("trial %d (prefix %d of %d): merged %v, sorted %v", trial, sorted, len(ids), ids, want)
+		}
+	}
+}
+
+// TestCheckRejectsUnsortedWorklistPrefix: Check verifies the ordering
+// invariant the top-of-Step merge relies on.
+func TestCheckRejectsUnsortedWorklistPrefix(t *testing.T) {
+	nw := newNet(t, 4, 2, 4)
+	nw.SetDelivery(func(now int64, m *Message) {})
+	for _, src := range []int{9, 2, 5} {
+		if err := nw.Send(&Message{Src: src, Dst: 0, Size: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.Step()
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if len(nw.activeIDs) < 2 || nw.activeSorted < 2 {
+		t.Fatalf("want a sorted prefix of at least 2 routers, have %d of %v", nw.activeSorted, nw.activeIDs)
+	}
+	nw.activeIDs[0], nw.activeIDs[1] = nw.activeIDs[1], nw.activeIDs[0]
+	if err := nw.Check(); err == nil {
+		t.Error("Check accepted a worklist prefix out of order")
 	}
 }

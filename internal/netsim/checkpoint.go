@@ -314,7 +314,8 @@ func (nw *Network) Restore(s CheckpointState) error {
 	// Reset every router to zero state, then overlay the sparse entries
 	// and rebuild the active worklist from the restored occupancy.
 	for i := range nw.in {
-		nw.in[i].head, nw.in[i].count = 0, 0
+		nw.in[i].count = 0
+		nw.recycle(&nw.in[i])
 		nw.owner[i] = nil
 		nw.ownerInput[i] = 0
 		nw.lastGranted[i] = 0
@@ -330,7 +331,7 @@ func (nw *Network) Restore(s CheckpointState) error {
 		nw.isActive[v] = false
 	}
 	nw.activeIDs = nw.activeIDs[:0]
-	nw.activeDirty = false
+	nw.activeSorted = 0
 	for _, rs := range s.Routers {
 		v := rs.Index
 		base := v * nin

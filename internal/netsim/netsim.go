@@ -92,6 +92,9 @@ func (f flit) isTail() bool { return int(f.seq) == f.msg.Size-1 }
 // type so buffers pack into one flat slice per network; the ring
 // storage is allocated lazily on first push, so the millions of
 // never-touched buffers of a large mostly-idle fabric cost nothing.
+// The network moves the storage of a drained buffer to its spare list
+// and hands it to the next buffer that fills, so storage tracks the
+// buffers occupied at once, not every buffer a run ever touched.
 // The depth is owned by the network and passed in where needed.
 type fifo struct {
 	buf   []flit
@@ -200,6 +203,8 @@ type Network struct {
 
 	// in[v·nin+key] is router v's input buffer for key (lazy storage).
 	in []fifo
+	// spare holds the ring storage of drained buffers for reuse.
+	spare [][]flit
 	// owner[v·nin+key] is the message holding virtual output key, or nil.
 	owner []*Message
 	// ownerInput[v·nin+key] is the input buffer index feeding that worm.
@@ -230,12 +235,15 @@ type Network struct {
 	headReq []int16
 
 	// Active-router worklist: v is on it iff it holds buffered flits or
-	// queued injections. Sorted ascending at the top of every Step so
+	// queued injections. Ascending at the top of every Step so
 	// iteration visits routers in exactly the order the dense sweep
-	// did; activeDirty marks out-of-order appends made mid-cycle.
-	activeIDs   []int32
-	isActive    []bool
-	activeDirty bool
+	// did: activeIDs[:activeSorted] is the ascending prefix, and Step
+	// sorts the tail appended since then and merges it in (activeTail
+	// is the merge's scratch).
+	activeIDs    []int32
+	isActive     []bool
+	activeSorted int
+	activeTail   []int32
 	// forceDense pins every router to the worklist permanently,
 	// restoring the pre-worklist dense sweep. Behavior is identical by
 	// construction (idle routers decide nothing and mutate nothing);
@@ -384,9 +392,22 @@ func (nw *Network) pushFlit(v, idx int, f flit) {
 	if f.isHead() {
 		f.key = int32(nw.requestKey(v, f.msg))
 	}
-	nw.in[v*nw.nin+idx].push(f, nw.cfg.BufferDepth)
+	q := &nw.in[v*nw.nin+idx]
+	if q.buf == nil && len(nw.spare) > 0 {
+		last := len(nw.spare) - 1
+		q.buf, nw.spare = nw.spare[last], nw.spare[:last]
+	}
+	q.push(f, nw.cfg.BufferDepth)
 	nw.setOcc(v, idx)
 	nw.routerFlits[v]++
+}
+
+// recycle moves the ring storage of drained buffer q to the spare list.
+func (nw *Network) recycle(q *fifo) {
+	if q.buf != nil {
+		nw.spare = append(nw.spare, q.buf)
+		q.buf, q.head = nil, 0
+	}
 }
 
 // activate puts router v on the worklist if it is not already there.
@@ -395,10 +416,32 @@ func (nw *Network) activate(v int) {
 		return
 	}
 	nw.isActive[v] = true
-	if n := len(nw.activeIDs); n > 0 && nw.activeIDs[n-1] > int32(v) {
-		nw.activeDirty = true
+	n := len(nw.activeIDs)
+	if nw.activeSorted == n && (n == 0 || nw.activeIDs[n-1] < int32(v)) {
+		nw.activeSorted++ // an in-order append extends the sorted prefix
 	}
 	nw.activeIDs = append(nw.activeIDs, int32(v))
+}
+
+// mergeSortedTail sorts ids[sorted:] and merges it, in place and from
+// the back, into the ascending prefix ids[:sorted]; ids holds distinct
+// values. scratch carries the tail during the merge and is returned
+// for reuse. The cost is the tail's sort plus the prefix entries it
+// displaces, not a sort of the whole worklist.
+func mergeSortedTail(ids []int32, sorted int, scratch []int32) []int32 {
+	tail := append(scratch[:0], ids[sorted:]...)
+	slices.Sort(tail)
+	i, j := sorted-1, len(tail)-1
+	for k := len(ids) - 1; j >= 0; k-- {
+		if i >= 0 && ids[i] > tail[j] {
+			ids[k] = ids[i]
+			i--
+		} else {
+			ids[k] = tail[j]
+			j--
+		}
+	}
+	return tail
 }
 
 // forceDenseSweep marks every router permanently active, restoring the
@@ -490,9 +533,9 @@ func vcFor(msg *Message, o int) int {
 
 // Step advances the network one cycle.
 func (nw *Network) Step() {
-	if nw.activeDirty {
-		slices.Sort(nw.activeIDs)
-		nw.activeDirty = false
+	if nw.activeSorted < len(nw.activeIDs) {
+		nw.activeTail = mergeSortedTail(nw.activeIDs, nw.activeSorted, nw.activeTail)
+		nw.activeSorted = len(nw.activeIDs)
 	}
 	if nw.cfg.Faults != nil {
 		nw.sweepFaults()
@@ -733,9 +776,11 @@ func (nw *Network) commit() {
 	for i := range nw.moves {
 		mv := &nw.moves[i]
 		base := mv.router * nw.nin
-		f := nw.in[base+mv.input].pop()
-		if nw.in[base+mv.input].empty() {
+		q := &nw.in[base+mv.input]
+		f := q.pop()
+		if q.empty() {
 			nw.clrOcc(mv.router, mv.input)
+			nw.recycle(q)
 		}
 		nw.routerFlits[mv.router]--
 		if mv.acquire != nil {
@@ -792,15 +837,20 @@ func (nw *Network) compactActive() {
 		return
 	}
 	kept := nw.activeIDs[:0]
-	for _, v32 := range nw.activeIDs {
+	sorted := 0 // compaction keeps order: the kept part of the prefix stays sorted
+	for i, v32 := range nw.activeIDs {
 		v := int(v32)
 		if nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
+			if i < nw.activeSorted {
+				sorted++
+			}
 			kept = append(kept, v32)
 		} else {
 			nw.isActive[v] = false
 		}
 	}
 	nw.activeIDs = kept
+	nw.activeSorted = sorted
 }
 
 func (nw *Network) completeDelivery(msg *Message) {
@@ -997,6 +1047,18 @@ func (nw *Network) Check() error {
 	if len(nw.activeIDs) != active {
 		return fmt.Errorf("netsim: worklist holds %d entries but %d routers are marked active at cycle %d",
 			len(nw.activeIDs), active, nw.now)
+	}
+	// The next Step merges the tail into the prefix; the result is
+	// ascending only if the prefix is.
+	if nw.activeSorted > len(nw.activeIDs) {
+		return fmt.Errorf("netsim: worklist sorted prefix %d exceeds its %d entries at cycle %d",
+			nw.activeSorted, len(nw.activeIDs), nw.now)
+	}
+	for i := 1; i < nw.activeSorted; i++ {
+		if nw.activeIDs[i-1] >= nw.activeIDs[i] {
+			return fmt.Errorf("netsim: worklist prefix not strictly ascending at entry %d (%d, %d) at cycle %d",
+				i, nw.activeIDs[i-1], nw.activeIDs[i], nw.now)
+		}
 	}
 	return nil
 }

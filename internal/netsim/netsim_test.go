@@ -394,3 +394,47 @@ func TestFIFOPanics(t *testing.T) {
 		q.push(flit{}, 1)
 	}()
 }
+
+// TestDrainedBuffersShareRingStorage checks that ring storage follows
+// occupancy: once traffic drains, no buffer holds a ring, and the
+// spare list holds no more rings than buffers were ever occupied at
+// once, far fewer than the buffers the traffic touched.
+func TestDrainedBuffersShareRingStorage(t *testing.T) {
+	nw := newNet(t, 8, 2, 4)
+	touched := map[int]bool{}
+	maxHeld := 0
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 10; i++ {
+			src, dst := rng.Intn(64), rng.Intn(64)
+			if src == dst {
+				continue
+			}
+			if err := nw.Send(&Message{Src: src, Dst: dst, Size: 1 + rng.Intn(8)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for !nw.Quiesced() {
+			nw.Step()
+			held := 0
+			for i := range nw.in {
+				if nw.in[i].buf != nil {
+					touched[i] = true
+					held++
+				}
+			}
+			maxHeld = max(maxHeld, held)
+		}
+	}
+	for i := range nw.in {
+		if nw.in[i].buf != nil {
+			t.Fatalf("drained buffer %d still holds ring storage", i)
+		}
+	}
+	if len(nw.spare) == 0 || len(nw.spare) > maxHeld {
+		t.Errorf("%d spare rings, want 1..%d (most buffers occupied at once)", len(nw.spare), maxHeld)
+	}
+	if len(nw.spare) >= len(touched) {
+		t.Errorf("%d spare rings for %d buffers touched: drained rings are not reused", len(nw.spare), len(touched))
+	}
+}

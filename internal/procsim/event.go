@@ -31,6 +31,14 @@ func (p *Processor) NextEvent() int64 {
 	return sim.Never
 }
 
+// Switching reports whether a context switch is in progress. A
+// scheduler that ticks only due processors needs it: the last cycle of
+// a switch is the one non-event cycle whose Tick can move NextEvent
+// later (the incoming context's first poll may merge compute bursts),
+// so such a scheduler must still tick the processor on that cycle
+// whenever it executes, exactly as a tick-everything loop would.
+func (p *Processor) Switching() bool { return p.switchLeft > 0 }
+
 // maxMergeOps bounds how many back-to-back compute operations one
 // merge folds into the running burst, so a compute-only program cannot
 // trap the lookahead in an unbounded loop.

@@ -5,14 +5,16 @@ import "locality/internal/telemetry"
 // PublishTelemetry registers machine-wide processor cycle accounting —
 // summed over the given processors — as pull-based gauges. Per-node
 // breakdowns stay available through Processor.Snapshot; the registry
-// carries the aggregate a time-sliced sampler or dump wants. Safe on a
-// nil registry.
-func PublishTelemetry(reg *telemetry.Registry, procs []*Processor) {
+// carries the aggregate a time-sliced sampler or dump wants. sync runs
+// before every read: a scheduler that lets idle processors lag brings
+// them up to date there. Safe on a nil registry.
+func PublishTelemetry(reg *telemetry.Registry, procs []*Processor, sync func()) {
 	if reg == nil {
 		return
 	}
 	sum := func(get func(*Processor) int64) func() float64 {
 		return func() float64 {
+			sync()
 			var total int64
 			for _, p := range procs {
 				total += get(p)

@@ -10,6 +10,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Torus describes a k-ary n-dimensional torus with a pair of
@@ -192,13 +193,12 @@ func (t *Torus) Route(src, dst int) []Hop {
 // directions coincide.
 func (t *Torus) Neighbors(id int) []int {
 	t.checkNode(id)
-	var out []int
-	seen := map[int]bool{}
+	// At most 2n entries: a linear scan deduplicates cheaper than a map.
+	out := make([]int, 0, 2*t.n)
 	for dim := 0; dim < t.n; dim++ {
-		for _, dir := range []int{1, -1} {
+		for _, dir := range [2]int{1, -1} {
 			nb := t.Neighbor(id, dim, dir)
-			if nb != id && !seen[nb] {
-				seen[nb] = true
+			if nb != id && !slices.Contains(out, nb) {
 				out = append(out, nb)
 			}
 		}
