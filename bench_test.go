@@ -214,10 +214,10 @@ func BenchmarkClosedFormSolve(b *testing.B) {
 }
 
 // BenchmarkNetworkStep measures raw fabric simulation throughput under
-// sustained uniform random load on a 64-node torus. Reported metric:
-// flit-channel traversals per wall second. Step itself allocates
-// nothing; the allocations per op come from the fresh messages the
-// benchmark sends.
+// sustained uniform random load on a 64-node torus. Reported metrics:
+// flit-channel traversals per wall second and wall ns per traversal.
+// Step itself allocates nothing; the allocations per op come from the
+// fresh messages the benchmark sends.
 func BenchmarkNetworkStep(b *testing.B) {
 	tor := topology.MustNew(8, 2)
 	nw, err := netsim.New(netsim.Config{Topo: tor, BufferDepth: 8})
@@ -243,7 +243,56 @@ func BenchmarkNetworkStep(b *testing.B) {
 		}
 		nw.Step()
 	}
-	b.ReportMetric(float64(nw.Snapshot().FlitHops)/b.Elapsed().Seconds(), "flit-hops/s")
+	reportFlitHops(b, nw)
+}
+
+// BenchmarkNetworkStepSparse measures the fabric under light load on a
+// 100×100 torus: a few long worms between random endpoints, the shape
+// of the 10,000-node gain cell under random placement, where nearly
+// every router a Step visits holds one flit of one streaming worm
+// (netsim's TestSparseLoadIsSingleInput checks the share on the same
+// traffic). Reported metrics as for BenchmarkNetworkStep.
+func BenchmarkNetworkStepSparse(b *testing.B) {
+	const side, every, worms, size = 100, 64, 16, 48
+	tor := topology.MustNew(side, 2)
+	nw, err := netsim.New(netsim.Config{Topo: tor, BufferDepth: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw.SetDelivery(func(now int64, m *netsim.Message) {})
+	nodes := tor.Nodes()
+	seed := 12345
+	next := func() int {
+		seed = seed*1103515245 + 12345
+		return ((seed >> 16) & 0x7fffffff) % nodes
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%every == 0 {
+			for w := 0; w < worms; w++ {
+				src, dst := next(), next()
+				if src == dst {
+					continue
+				}
+				if err := nw.Send(&netsim.Message{Src: src, Dst: dst, Size: size}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		nw.Step()
+	}
+	reportFlitHops(b, nw)
+}
+
+// reportFlitHops reports a fabric benchmark's flit-channel traversals
+// per wall second and wall ns per traversal.
+func reportFlitHops(b *testing.B, nw *netsim.Network) {
+	hops := float64(nw.Snapshot().FlitHops)
+	b.ReportMetric(hops/b.Elapsed().Seconds(), "flit-hops/s")
+	if hops > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/hops, "ns/flit-hop")
+	}
 }
 
 // BenchmarkMachineCycle measures full-system simulation speed: one

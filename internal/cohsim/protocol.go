@@ -14,7 +14,6 @@
 package cohsim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"locality/internal/cachesim"
@@ -386,18 +385,64 @@ type event struct {
 	act action
 }
 
+// before orders events by (due, seq). seq is unique, so the order is
+// total: any heap pops events in exactly one sequence.
+func (e *event) before(o *event) bool {
+	if e.due != o.due {
+		return e.due < o.due
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events under before, typed so
+// events are stored by value and never boxed.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].due != h[j].due {
-		return h[i].due < h[j].due
+// push adds e, sifting a hole up from the new leaf.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// pop removes and returns the earliest event, sifting the last leaf
+// down from the root.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
+}
 
 // Protocol is the machine-wide coherence engine.
 type Protocol struct {
@@ -483,14 +528,14 @@ func (p *Protocol) Cache(nodeID int) *cachesim.Cache { return p.node(nodeID).cac
 // schedule queues an action to run at now+delay processor cycles.
 func (p *Protocol) schedule(delay int, a action) {
 	p.seq++
-	heap.Push(&p.events, event{due: p.now + int64(delay), seq: p.seq, act: a})
+	p.events.push(event{due: p.now + int64(delay), seq: p.seq, act: a})
 }
 
 // Tick advances protocol time to nowP, executing all due actions.
 func (p *Protocol) Tick(nowP int64) {
 	p.now = nowP
 	for len(p.events) > 0 && p.events[0].due <= nowP {
-		e := heap.Pop(&p.events).(event)
+		e := p.events.pop()
 		p.fire(e.act, nowP)
 	}
 }

@@ -345,3 +345,51 @@ func TestCheckRejectsUnsortedWorklistPrefix(t *testing.T) {
 		t.Error("Check accepted a worklist prefix out of order")
 	}
 }
+
+// TestSparseLoadIsSingleInput checks the premise of the root package's
+// BenchmarkNetworkStepSparse on the same traffic: a few long worms on
+// a 100×100 torus leave ≥90% of the routers a Step visits with exactly
+// one occupied input, the case decideSingle resolves in place.
+func TestSparseLoadIsSingleInput(t *testing.T) {
+	const side, every, worms, size, cycles = 100, 64, 16, 48, 2000
+	nw := newNet(t, side, 2, 8)
+	nw.SetDelivery(func(now int64, m *Message) {})
+	seed := 12345
+	next := func() int {
+		seed = seed*1103515245 + 12345
+		return ((seed >> 16) & 0x7fffffff) % nw.nodes
+	}
+	visits, single := 0, 0
+	for i := 0; i < cycles; i++ {
+		if i%every == 0 {
+			for w := 0; w < worms; w++ {
+				src, dst := next(), next()
+				if src == dst {
+					continue
+				}
+				if err := nw.Send(&Message{Src: src, Dst: dst, Size: size}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, v := range nw.activeIDs {
+			rt := &nw.routers[v]
+			if rt.flits == 0 {
+				continue
+			}
+			visits++
+			if rt.occ[1] == 0 && rt.occ[0]&(rt.occ[0]-1) == 0 {
+				single++
+			}
+		}
+		nw.Step()
+	}
+	share := float64(single) / float64(visits)
+	t.Logf("%d of %d router visits single-input (%.1f%%), %d flit-hops", single, visits, 100*share, nw.Snapshot().FlitHops)
+	if share < 0.9 {
+		t.Errorf("single-input share %.3f, want ≥ 0.9", share)
+	}
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -95,17 +95,17 @@ type CheckpointState struct {
 // no buffered flits, no held virtual outputs, and all arbitration
 // rotors at their initial values.
 func (nw *Network) routerZero(v int) bool {
-	if nw.routerFlits[v] != 0 || nw.own[v] != [2]uint64{} {
+	if nw.routers[v].flits != 0 || nw.routers[v].own != [2]uint64{} {
 		return false
 	}
 	base := v * nw.nin
 	for key := 0; key < nw.nin; key++ {
-		if nw.lastGranted[base+key] != 0 {
+		if nw.keys[base+key].lastGranted != 0 {
 			return false
 		}
 	}
-	for o := 0; o < nw.ports; o++ {
-		if nw.lastVC[v*nw.ports+o] != 0 {
+	for o := 0; o < nw.nports; o++ {
+		if nw.ports[v*nw.nports+o].lastVC != 0 {
 			return false
 		}
 	}
@@ -161,28 +161,29 @@ func (nw *Network) Checkpoint() CheckpointState {
 			Owner:       make([]int, nw.nin),
 			OwnerInput:  make([]int, nw.nin),
 			LastGranted: make([]int, nw.nin),
-			LastVC:      make([]int, nw.ports),
+			LastVC:      make([]int, nw.nports),
 		}
 		for key := 0; key < nw.nin; key++ {
-			in := &nw.in[base+key]
+			r := &nw.keys[base+key]
 			var flits []FlitState // nil when empty, matching the codec
-			for n := int32(0); n < in.count; n++ {
-				f := in.buf[(int(in.head)+int(n))%len(in.buf)]
+			for n := 0; n < int(r.count); n++ {
+				f := nw.flitAt(r, n)
 				flits = append(flits, FlitState{Msg: ref(f.msg), Seq: int(f.seq), ArrivedAt: f.arrivedAt})
 			}
 			rs.Inputs[key] = flits
 		}
 		for key := 0; key < nw.nin; key++ {
-			if owner := nw.owner[base+key]; owner != nil {
-				rs.Owner[key] = ref(owner)
-				rs.OwnerInput[key] = int(nw.ownerInput[base+key])
+			r := &nw.keys[base+key]
+			if r.owner != nil {
+				rs.Owner[key] = ref(r.owner)
+				rs.OwnerInput[key] = int(r.ownerInput)
 			} else {
 				rs.Owner[key] = -1
 			}
-			rs.LastGranted[key] = int(nw.lastGranted[base+key])
+			rs.LastGranted[key] = int(r.lastGranted)
 		}
-		for o := 0; o < nw.ports; o++ {
-			rs.LastVC[o] = int(nw.lastVC[v*nw.ports+o])
+		for o := 0; o < nw.nports; o++ {
+			rs.LastVC[o] = int(nw.ports[v*nw.nports+o].lastVC)
 		}
 		s.Routers = append(s.Routers, rs)
 	}
@@ -209,8 +210,11 @@ func (nw *Network) Checkpoint() CheckpointState {
 // delivery callback and fault model stay as wired. Every router and
 // queue absent from the sparse state is reset to zero, and the active
 // worklist is rebuilt from the restored occupancy, as are the derived
-// routing caches: each buffered head flit's requested output key and
-// each router's owned-output mask.
+// routing caches: each buffered head flit's requested output key, each
+// router's owned-output mask and each input's feeds back-pointer. The
+// ring slab is emptied and refilled in restore order, so slot
+// numbering may differ from the captured run's; no decision depends
+// on it.
 func (nw *Network) Restore(s CheckpointState) error {
 	nodes := nw.nodes
 	for i, ms := range s.Messages {
@@ -241,8 +245,8 @@ func (nw *Network) Restore(s CheckpointState) error {
 		if len(rs.Inputs) != nin || len(rs.Owner) != nin || len(rs.OwnerInput) != nin || len(rs.LastGranted) != nin {
 			return fmt.Errorf("netsim: router %d checkpoint geometry mismatch", v)
 		}
-		if len(rs.LastVC) != nw.ports {
-			return fmt.Errorf("netsim: router %d has %d VC rotors, want %d", v, len(rs.LastVC), nw.ports)
+		if len(rs.LastVC) != nw.nports {
+			return fmt.Errorf("netsim: router %d has %d VC rotors, want %d", v, len(rs.LastVC), nw.nports)
 		}
 		for i, flits := range rs.Inputs {
 			if len(flits) > nw.cfg.BufferDepth {
@@ -313,23 +317,13 @@ func (nw *Network) Restore(s CheckpointState) error {
 	}
 	// Reset every router to zero state, then overlay the sparse entries
 	// and rebuild the active worklist from the restored occupancy.
-	for i := range nw.in {
-		nw.in[i].count = 0
-		nw.recycle(&nw.in[i])
-		nw.owner[i] = nil
-		nw.ownerInput[i] = 0
-		nw.lastGranted[i] = 0
+	clear(nw.keys)
+	for i := range nw.ports {
+		nw.ports[i].lastVC = 0
 	}
-	for i := range nw.lastVC {
-		nw.lastVC[i] = 0
-	}
-	for v := 0; v < nodes; v++ {
-		nw.routerFlits[v] = 0
-		nw.occ[v] = [2]uint64{}
-		nw.own[v] = [2]uint64{}
-		nw.injectQ[v] = nil
-		nw.isActive[v] = false
-	}
+	clear(nw.routers)
+	clear(nw.injectQ)
+	nw.ring, nw.free = nw.ring[:0], nw.free[:0]
 	nw.activeIDs = nw.activeIDs[:0]
 	nw.activeSorted = 0
 	for _, rs := range s.Routers {
@@ -344,14 +338,16 @@ func (nw *Network) Restore(s CheckpointState) error {
 		}
 		for i, owner := range rs.Owner {
 			if owner != -1 {
-				nw.owner[base+i] = msgs[owner]
-				nw.ownerInput[base+i] = int32(rs.OwnerInput[i])
-				nw.own[v][i>>6] |= 1 << (i & 63)
+				r := &nw.keys[base+i]
+				r.owner = msgs[owner]
+				r.ownerInput = uint8(rs.OwnerInput[i])
+				nw.keys[base+rs.OwnerInput[i]].feeds = uint8(i + 1)
+				nw.routers[v].own[i>>6] |= 1 << (i & 63)
 			}
-			nw.lastGranted[base+i] = int32(rs.LastGranted[i])
+			nw.keys[base+i].lastGranted = uint8(rs.LastGranted[i])
 		}
 		for o, vc := range rs.LastVC {
-			nw.lastVC[v*nw.ports+o] = uint8(vc)
+			nw.ports[v*nw.nports+o].lastVC = uint8(vc)
 		}
 	}
 	nw.queued = 0
@@ -364,7 +360,7 @@ func (nw *Network) Restore(s CheckpointState) error {
 		nw.queued += len(queue)
 	}
 	for v := 0; v < nodes; v++ {
-		if nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
+		if nw.routers[v].flits > 0 || len(nw.injectQ[v]) > 0 {
 			nw.activate(v)
 		}
 	}

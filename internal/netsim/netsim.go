@@ -21,12 +21,13 @@
 // the paper's convention that nodes never send network messages to
 // themselves.
 //
-// Per-switch state lives in flat structure-of-arrays slices indexed by
-// router, and Step iterates an active-router worklist instead of all N
-// routers, so a mostly-idle fabric costs O(active switches) per cycle
-// and an untouched switch costs no resident memory (large zeroed slices
-// are backed by untouched pages). Both changes are behavior-preserving:
-// see DESIGN.md §5i for the parity argument.
+// Per-switch state lives in flat record arrays indexed by router, port
+// and key, buffered flits in one shared ring slab, and Step iterates an
+// active-router worklist instead of all N routers, so a mostly-idle
+// fabric costs O(active switches) per cycle and an untouched switch
+// costs no resident memory (large zeroed slices are backed by
+// untouched pages). These choices are behavior-preserving: see
+// DESIGN.md §5i for the parity arguments.
 package netsim
 
 import (
@@ -88,53 +89,55 @@ type flit struct {
 func (f flit) isHead() bool { return f.seq == 0 }
 func (f flit) isTail() bool { return int(f.seq) == f.msg.Size-1 }
 
-// fifo is a bounded flit queue (one switch input buffer). It is a value
-// type so buffers pack into one flat slice per network; the ring
-// storage is allocated lazily on first push, so the millions of
-// never-touched buffers of a large mostly-idle fabric cost nothing.
-// The network moves the storage of a drained buffer to its spare list
-// and hands it to the next buffer that fills, so storage tracks the
-// buffers occupied at once, not every buffer a run ever touched.
-// The depth is owned by the network and passed in where needed.
-type fifo struct {
-	buf   []flit
+// routerRec is one switch's per-router record.
+type routerRec struct {
+	// flits counts flits buffered across all the router's inputs, for
+	// O(1) occupancy checks.
+	flits int32
+	// active is set iff the router is on the active worklist.
+	active bool
+	// occ is a bitmask over the router's input buffers: bit idx is set
+	// iff input idx is non-empty. Two words cover every legal topology
+	// (nin = 4n+1 ≤ 125 for n ≤ 31). decide walks it so a router's cost
+	// tracks its occupied inputs, not nin².
+	occ [2]uint64
+	// own is a bitmask over the router's virtual output keys: bit key is
+	// set iff a worm owns that key.
+	own [2]uint64
+}
+
+// portRec is one directional physical port's record.
+type portRec struct {
+	// nbr is the router on the far side of the port, precomputed so the
+	// per-flit path does no coordinate division.
+	nbr int32
+	// lastVC rotates the physical channel between its two VCs.
+	lastVC uint8
+}
+
+// keyRec is the record at index v·nin+i: router v's input buffer i
+// and its virtual output key i. Inputs and keys share one index space
+// (a fabric hop keeps its key, so input i is fed by the upstream
+// router's key i), so one record serves both. The buffer's flits live
+// in the network's ring slab, in slot slot, from ring index head, while
+// count > 0; an empty buffer holds no slot.
+type keyRec struct {
+	// owner is the message holding virtual output key i, or nil.
+	owner *Message
+	slot  int32
 	head  int32
 	count int32 // ≤ depth, which New bounds below 2³¹
-}
-
-func (q *fifo) full(depth int) bool { return int(q.count) == depth }
-func (q *fifo) empty() bool         { return q.count == 0 }
-
-func (q *fifo) push(f flit, depth int) {
-	if int(q.count) == depth {
-		panic("netsim: push to full buffer")
-	}
-	if q.buf == nil {
-		q.buf = make([]flit, depth)
-	}
-	i := int(q.head) + int(q.count)
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.buf[i] = f
-	q.count++
-}
-
-func (q *fifo) peek() flit {
-	if q.empty() {
-		panic("netsim: peek at empty buffer")
-	}
-	return q.buf[q.head]
-}
-
-func (q *fifo) pop() flit {
-	f := q.peek()
-	q.head++
-	if int(q.head) == len(q.buf) {
-		q.head = 0
-	}
-	q.count--
-	return f
+	// ownerInput is the input buffer feeding owner's worm (meaningful
+	// only while owner is set).
+	ownerInput uint8
+	// lastGranted rotates arbitration among inputs for key i.
+	lastGranted uint8
+	// feeds is 1 + the key whose worm input i feeds (the key whose
+	// ownerInput is i), or 0 when input i feeds no owned key. An input
+	// feeds at most one worm at a time: a worm's flits are contiguous
+	// in the buffer, and its tail releases the key before the next
+	// worm's head can claim another.
+	feeds uint8
 }
 
 // LinkFaultModel decides whether a directional physical channel is
@@ -165,16 +168,21 @@ type Config struct {
 // DeliveryFunc receives each message when its tail flit arrives.
 type DeliveryFunc func(now int64, msg *Message)
 
-// move is one committed flit transfer for the two-phase update.
+// move is one committed flit transfer for the two-phase update. It
+// carries what commit needs of the flit decide read (its message and
+// sequence number), so commit drops the buffer's front without reading
+// it again.
 type move struct {
-	router  int
-	input   int
-	outKey  int
-	release bool     // tail flit: release virtual output ownership
-	acquire *Message // head flit granted the output this cycle
-	crossed bool     // this hop crosses the dateline
+	msg     *Message
+	seq     int32
+	router  int32
+	dest    int32 // destination router for fabric moves
+	input   uint8
+	outKey  uint8
+	release bool // tail flit: release virtual output ownership
+	acquire bool // head flit granted the output this cycle
+	crossed bool // this hop crosses the dateline
 	eject   bool
-	dest    int // destination router for fabric moves
 }
 
 // Network simulates the whole fabric.
@@ -186,53 +194,45 @@ type move struct {
 //	injection input buffer:     4n (single buffer, no VC)
 //	virtual output keys:        o·2 + vc, ejection key 4n
 //
-// Router state is stored structure-of-arrays: per-key state for router
-// v lives at index v·nin+key (nin = 4n+1 inputs/keys per router) and
-// per-port state at v·ports+o. The flat slices are allocated once in
-// New; because a fresh large slice is zeroed pages the OS has not
+// Router state is stored in three record arrays: per-router records at
+// v, per-port records at v·nports+o, and per-key records at v·nin+key
+// (nin = 4n+1 inputs/keys per router). The arrays are allocated once
+// in New; because a fresh large slice is zeroed pages the OS has not
 // materialized, memory residency tracks the routers actually touched
-// (the neighbor table, which New fills, is the one exception).
+// (the neighbor entries of the port records, which New fills, are the
+// one exception). Buffered flits live in one ring slab whose slots
+// follow the buffers occupied at once.
 type Network struct {
-	cfg   Config
-	topo  *topology.Torus
-	dims  int
-	k     int
-	ports int // directional physical ports per router (2·dims)
-	nin   int // input buffers / virtual output keys per router (2·ports+1)
-	nodes int
+	cfg    Config
+	topo   *topology.Torus
+	dims   int
+	k      int
+	nports int // directional physical ports per router (2·dims)
+	nin    int // input buffers / virtual output keys per router (2·nports+1)
+	nodes  int
 
-	// in[v·nin+key] is router v's input buffer for key (lazy storage).
-	in []fifo
-	// spare holds the ring storage of drained buffers for reuse.
-	spare [][]flit
-	// owner[v·nin+key] is the message holding virtual output key, or nil.
-	owner []*Message
-	// ownerInput[v·nin+key] is the input buffer index feeding that worm.
-	ownerInput []int32
-	// lastGranted[v·nin+key] rotates arbitration among inputs for a key.
-	lastGranted []int32
-	// lastVC[v·ports+o] rotates the physical channel between its two VCs.
-	lastVC []uint8
-	// nbr[v·ports+o] is the router on the far side of port o of router
-	// v, precomputed so the per-flit path does no coordinate division.
-	nbr []int32
+	// Router state lives in three record arrays: routers[v],
+	// ports[v·nports+o] and keys[v·nin+i].
+	routers []routerRec
+	ports   []portRec
+	keys    []keyRec
 
-	// routerFlits[v] counts flits buffered across all of router v's
-	// inputs, for O(1) occupancy checks.
-	routerFlits []int32
-	// occ[v] is a bitmask over router v's input buffers: bit idx is set
-	// iff in[v·nin+idx] is non-empty. Two words cover every legal
-	// topology (nin = 4n+1 ≤ 125 for n ≤ 31). decide consults it so a
-	// router's cost tracks its occupied inputs, not nin².
-	occ [][2]uint64
-	// own[v] is a bitmask over router v's virtual output keys: bit key
-	// is set iff owner[v·nin+key] is non-nil. decide ORs it into its
-	// candidate-key mask instead of scanning owner.
-	own [][2]uint64
-	// headReq is decide's per-router scratch: headReq[idx] is the
-	// virtual output key requested by the arrived head flit at input
-	// idx, or -1. Filled from occ at the top of each router's decide.
-	headReq []int16
+	// ring is the flit slab: ring slot s is ring[s·depth : (s+1)·depth],
+	// the ring buffer of whichever input holds s. A buffer takes a slot
+	// on its first push and returns it when it drains; free is the LIFO
+	// list of returned slots, reused before the slab grows, so the slab
+	// holds as many slots as buffers were ever occupied at once.
+	ring  []flit
+	free  []int32
+	depth int32
+
+	// gathered is decide's per-router scratch: gathered[idx] is the
+	// front flit of occupied input idx, read once per router visit.
+	// reqBy[key] is the input whose arrived head requests key (the last
+	// one gathered, when several do); it is read only for keys whose
+	// request bit is set this visit.
+	gathered []flit
+	reqBy    []uint8
 
 	// Active-router worklist: v is on it iff it holds buffered flits or
 	// queued injections. Ascending at the top of every Step so
@@ -241,7 +241,6 @@ type Network struct {
 	// sorts the tail appended since then and merges it in (activeTail
 	// is the merge's scratch).
 	activeIDs    []int32
-	isActive     []bool
 	activeSorted int
 	activeTail   []int32
 	// forceDense pins every router to the worklist permanently,
@@ -316,25 +315,20 @@ func New(cfg Config) (*Network, error) {
 	ports := 2 * dims
 	nin := 2*ports + 1
 	nw := &Network{
-		cfg:         cfg,
-		topo:        cfg.Topo,
-		dims:        dims,
-		k:           cfg.Topo.K(),
-		ports:       ports,
-		nin:         nin,
-		nodes:       n,
-		in:          make([]fifo, n*nin),
-		owner:       make([]*Message, n*nin),
-		ownerInput:  make([]int32, n*nin),
-		lastGranted: make([]int32, n*nin),
-		lastVC:      make([]uint8, n*ports),
-		nbr:         make([]int32, n*ports),
-		routerFlits: make([]int32, n),
-		occ:         make([][2]uint64, n),
-		own:         make([][2]uint64, n),
-		headReq:     make([]int16, nin),
-		isActive:    make([]bool, n),
-		injectQ:     make([][]*Message, n),
+		cfg:      cfg,
+		topo:     cfg.Topo,
+		dims:     dims,
+		k:        cfg.Topo.K(),
+		nports:   ports,
+		nin:      nin,
+		nodes:    n,
+		routers:  make([]routerRec, n),
+		ports:    make([]portRec, n*ports),
+		keys:     make([]keyRec, n*nin),
+		depth:    int32(cfg.BufferDepth),
+		gathered: make([]flit, nin),
+		reqBy:    make([]uint8, nin),
+		injectQ:  make([][]*Message, n),
 	}
 	// Fill the neighbor table without per-entry division: along
 	// dimension dim the coordinate steps every stride routers, so a hop
@@ -352,8 +346,8 @@ func New(cfg Config) (*Network, error) {
 					minus = (k - 1) * stride
 				}
 				for v := lo + c*stride; v < lo+(c+1)*stride; v++ {
-					nw.nbr[v*ports+2*dim] = int32(v + plus)
-					nw.nbr[v*ports+2*dim+1] = int32(v + minus)
+					nw.ports[v*ports+2*dim].nbr = int32(v + plus)
+					nw.ports[v*ports+2*dim+1].nbr = int32(v + minus)
 				}
 			}
 		}
@@ -371,51 +365,83 @@ func (nw *Network) SetDelivery(fn DeliveryFunc) { nw.deliver = fn }
 func (nw *Network) Now() int64 { return nw.now }
 
 // ejectKey is the virtual output key of the ejection port.
-func (nw *Network) ejectKey() int { return 2 * nw.ports }
+func (nw *Network) ejectKey() int { return 2 * nw.nports }
 
 // injectIn is the input buffer index of the injection port.
-func (nw *Network) injectIn() int { return 2 * nw.ports }
+func (nw *Network) injectIn() int { return 2 * nw.nports }
 
-// setOcc marks input idx of router v occupied.
-func (nw *Network) setOcc(v, idx int) {
-	nw.occ[v][idx>>6] |= 1 << (idx & 63)
+// has reports whether bit i of the two-word mask m is set.
+func has(m *[2]uint64, i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
+
+// front returns the front flit of non-empty buffer r.
+func (nw *Network) front(r *keyRec) flit {
+	return nw.ring[int(r.slot)*int(nw.depth)+int(r.head)]
 }
 
-// clrOcc marks input idx of router v empty.
-func (nw *Network) clrOcc(v, idx int) {
-	nw.occ[v][idx>>6] &^= 1 << (idx & 63)
+// flitAt returns the n-th flit of buffer r in pop order (n < r.count).
+func (nw *Network) flitAt(r *keyRec, n int) flit {
+	depth := int(nw.depth)
+	return nw.ring[int(r.slot)*depth+(int(r.head)+n)%depth]
 }
 
 // pushFlit appends f to input idx of router v, caching a head flit's
-// requested output key for that router, and records the occupancy.
+// requested output key for that router, and records the occupancy. A
+// buffer that was empty takes a ring slot: the most recently freed
+// one, or a new slot at the end of the slab.
 func (nw *Network) pushFlit(v, idx int, f flit) {
 	if f.isHead() {
 		f.key = int32(nw.requestKey(v, f.msg))
 	}
-	q := &nw.in[v*nw.nin+idx]
-	if q.buf == nil && len(nw.spare) > 0 {
-		last := len(nw.spare) - 1
-		q.buf, nw.spare = nw.spare[last], nw.spare[:last]
+	r := &nw.keys[v*nw.nin+idx]
+	switch {
+	case r.count == nw.depth:
+		panic("netsim: push to full buffer")
+	case r.count == 0:
+		if last := len(nw.free) - 1; last >= 0 {
+			r.slot, nw.free = nw.free[last], nw.free[:last]
+		} else {
+			r.slot = int32(len(nw.ring) / int(nw.depth))
+			nw.ring = append(nw.ring, make([]flit, nw.depth)...)
+		}
+		r.head = 0
 	}
-	q.push(f, nw.cfg.BufferDepth)
-	nw.setOcc(v, idx)
-	nw.routerFlits[v]++
+	i := r.head + r.count
+	if i >= nw.depth {
+		i -= nw.depth
+	}
+	nw.ring[int(r.slot)*int(nw.depth)+int(i)] = f
+	r.count++
+	rt := &nw.routers[v]
+	rt.occ[idx>>6] |= 1 << (idx & 63)
+	rt.flits++
 }
 
-// recycle moves the ring storage of drained buffer q to the spare list.
-func (nw *Network) recycle(q *fifo) {
-	if q.buf != nil {
-		nw.spare = append(nw.spare, q.buf)
-		q.buf, q.head = nil, 0
+// dropFront removes the front flit of input idx of router v, returning
+// the buffer's ring slot to the free list when it drains.
+func (nw *Network) dropFront(v, idx int) {
+	r := &nw.keys[v*nw.nin+idx]
+	if r.count == 0 {
+		panic("netsim: pop from empty buffer")
+	}
+	r.head++
+	if r.head == nw.depth {
+		r.head = 0
+	}
+	r.count--
+	rt := &nw.routers[v]
+	rt.flits--
+	if r.count == 0 {
+		nw.free = append(nw.free, r.slot)
+		rt.occ[idx>>6] &^= 1 << (idx & 63)
 	}
 }
 
 // activate puts router v on the worklist if it is not already there.
 func (nw *Network) activate(v int) {
-	if nw.isActive[v] {
+	if nw.routers[v].active {
 		return
 	}
-	nw.isActive[v] = true
+	nw.routers[v].active = true
 	n := len(nw.activeIDs)
 	if nw.activeSorted == n && (n == 0 || nw.activeIDs[n-1] < int32(v)) {
 		nw.activeSorted++ // an in-order append extends the sorted prefix
@@ -566,7 +592,7 @@ func (nw *Network) Run(cycles int64) {
 // (the large-machine configuration) skips this entirely.
 func (nw *Network) sweepFaults() {
 	stamp := nw.now + 1 // +1 so the zero value of downAt means "never"
-	channels := nw.nodes * nw.ports
+	channels := nw.nodes * nw.nports
 	for ch := 0; ch < channels; ch++ {
 		if nw.cfg.Faults.Down(ch, nw.now) {
 			nw.faultStalls.Inc()
@@ -585,7 +611,7 @@ func (nw *Network) stepInjection() {
 		if len(q) == 0 {
 			continue
 		}
-		if nw.in[v*nw.nin+nw.injectIn()].full(nw.cfg.BufferDepth) {
+		if nw.keys[v*nw.nin+nw.injectIn()].count == nw.depth {
 			continue
 		}
 		msg := q[0]
@@ -614,112 +640,192 @@ func (nw *Network) stepInjection() {
 // reusable moves scratch buffer. Routers with no buffered flits can
 // produce no transfer and mutate no arbitration state, so iterating
 // the (sorted) worklist yields exactly the moves of a dense sweep, in
-// the same order.
+// the same order. A router with a single occupied input resolves its
+// one flit in place; the others gather and arbitrate.
 func (nw *Network) decide() {
 	nw.moves = nw.moves[:0]
 	for _, v32 := range nw.activeIDs {
 		v := int(v32)
-		if nw.routerFlits[v] == 0 {
-			continue
-		}
-		base := v * nw.nin
-		// Gather phase: peek each occupied input once, recording which
-		// virtual output key its arrived head flit requests. A key can
-		// grant a transfer this cycle only if some head requests it or
-		// a worm already owns it, so the arbitration below skips every
-		// other key without consulting any buffer — skipped keys would
-		// have decided nothing and mutated nothing.
-		for i := range nw.headReq {
-			nw.headReq[i] = -1
-		}
-		var avail [2]uint64
-		for w := 0; w < 2; w++ {
-			m := nw.occ[v][w]
-			for m != 0 {
-				idx := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				f := nw.in[base+idx].peek()
-				if !f.isHead() || f.arrivedAt >= nw.now {
-					continue
-				}
-				nw.headReq[idx] = int16(f.key)
-				avail[f.key>>6] |= 1 << (f.key & 63)
-			}
-		}
-		avail[0] |= nw.own[v][0]
-		avail[1] |= nw.own[v][1]
-		// Directional physical channels: arbitrate between the two VCs.
-		for o := 0; o < nw.ports; o++ {
-			if avail[(o*2)>>6]&(3<<((o*2)&63)) == 0 {
-				// Neither VC of this port can grant. The two keys o·2
-				// and o·2+1 share a mask word: o·2 is even, so its bit
-				// position within the word is at most 62.
-				continue
-			}
-			if nw.cfg.Faults != nil && nw.downAt[v*nw.ports+o] == nw.now+1 {
-				// The channel is faulted this cycle: neither VC may
-				// transfer a flit; worms stall in place.
-				continue
-			}
-			firstVC := 1 - int(nw.lastVC[v*nw.ports+o])
-			granted := false
-			for attempt := 0; attempt < 2 && !granted; attempt++ {
-				vc := firstVC ^ attempt
-				key := o*2 + vc
-				if avail[key>>6]&(1<<(key&63)) == 0 {
-					continue
-				}
-				if nw.decideVirtualOutput(v, key) {
-					nw.lastVC[v*nw.ports+o] = uint8(vc)
-					granted = true
-				}
-			}
-		}
-		// Ejection port.
-		ek := nw.ejectKey()
-		if avail[ek>>6]&(1<<(ek&63)) != 0 {
-			nw.decideVirtualOutput(v, ek)
+		rt := &nw.routers[v]
+		switch {
+		case rt.flits == 0:
+		case rt.occ[1] == 0 && rt.occ[0]&(rt.occ[0]-1) == 0:
+			nw.decideSingle(v, bits.TrailingZeros64(rt.occ[0]))
+		default:
+			nw.decideRouter(v)
 		}
 	}
 }
 
-// decideVirtualOutput picks the flit (if any) to send through virtual
-// output key this cycle at router v, appending its move to nw.moves.
-// It reports whether a move was appended.
-func (nw *Network) decideVirtualOutput(v, key int) bool {
+// decideSingle resolves a router whose only occupied input is idx. Its
+// front flit is eligible for at most one key: the owned key its input
+// feeds, when the flit belongs to that worm, or else the free key it
+// requests as an arrived head. Every other key has no eligible flit,
+// so decideRouter's port loop would grant and mutate nothing for it:
+// resolving the one flit here makes the same decision.
+func (nw *Network) decideSingle(v, idx int) {
 	base := v * nw.nin
-	if owner := nw.owner[base+key]; owner != nil {
-		input := int(nw.ownerInput[base+key])
-		in := &nw.in[base+input]
-		if in.empty() {
-			return false
-		}
-		f := in.peek()
-		if f.msg != owner || f.arrivedAt >= nw.now {
-			return false
-		}
-		return nw.buildMove(v, input, key, f, nil)
+	r := &nw.keys[base+idx]
+	f := nw.front(r)
+	if f.arrivedAt >= nw.now {
+		return
 	}
-	// Arbitrate among input buffers whose head flit requests this key,
-	// consulting the gather phase's per-input request table instead of
-	// re-peeking every buffer (same skip conditions, same round-robin
-	// order).
-	start := int(nw.lastGranted[base+key])
-	for i := 1; i <= nw.nin; i++ {
-		idx := (start + i) % nw.nin
-		if nw.headReq[idx] != int16(key) {
-			continue
+	key, acquire := 0, false
+	switch {
+	case r.feeds != 0 && nw.keys[base+int(r.feeds)-1].owner == f.msg:
+		key = int(r.feeds) - 1
+	case f.isHead() && !has(&nw.routers[v].own, int(f.key)):
+		key, acquire = int(f.key), true
+	default:
+		return
+	}
+	if key != nw.ejectKey() && nw.portDown(v, key>>1) {
+		return
+	}
+	nw.grant(v, idx, key, f, acquire)
+}
+
+// decideRouter arbitrates a router with several occupied inputs. The
+// gather phase peeks each occupied input once, keeping its front flit
+// in gathered, and builds two key masks: ready, the owned keys whose
+// feeding input holds an arrived flit of the owning worm, and req, the
+// keys some arrived head requests. A key can grant a transfer this
+// cycle only if it is ready, or free and requested; the port loop
+// visits just those keys, in port order (ports ascending, the VC
+// rotor choosing which of a port's two keys goes first, the ejection
+// key last). Every key it skips would grant nothing and mutate
+// nothing.
+func (nw *Network) decideRouter(v int) {
+	base := v * nw.nin
+	rt := &nw.routers[v]
+	var req, multi, ready [2]uint64
+	for w := 0; w < 2; w++ {
+		for m := rt.occ[w]; m != 0; m &= m - 1 {
+			idx := w<<6 + bits.TrailingZeros64(m)
+			r := &nw.keys[base+idx]
+			f := nw.front(r)
+			nw.gathered[idx] = f
+			if f.arrivedAt >= nw.now {
+				continue
+			}
+			if r.feeds != 0 && nw.keys[base+int(r.feeds)-1].owner == f.msg {
+				k := int(r.feeds) - 1
+				ready[k>>6] |= 1 << (k & 63)
+			}
+			if f.isHead() {
+				k := int(f.key)
+				if has(&req, k) {
+					multi[k>>6] |= 1 << (k & 63)
+				}
+				req[k>>6] |= 1 << (k & 63)
+				nw.reqBy[k] = uint8(idx)
+			}
 		}
-		f := nw.in[base+idx].peek()
-		if !nw.buildMove(v, idx, key, f, f.msg) {
-			// The downstream buffer is full; no other input can use
-			// this key more productively this cycle.
+	}
+	ek := nw.ejectKey()
+	for w := 0; w < 2; w++ {
+		for m := ready[w] | req[w]&^rt.own[w]; m != 0; {
+			key := w<<6 + bits.TrailingZeros64(m)
+			if key == ek {
+				nw.decideKey(v, key, &multi)
+				break
+			}
+			// Keys o·2 and o·2+1 share a mask word: o·2 is even, so its
+			// bit position within the word is at most 62.
+			o := key >> 1
+			pair := uint64(3) << ((2 * o) & 63)
+			both := m&pair == pair
+			m &^= pair
+			if nw.portDown(v, o) {
+				// The channel is faulted this cycle: neither VC may
+				// transfer a flit; worms stall in place.
+				continue
+			}
+			if !both {
+				nw.decideKey(v, key, &multi)
+				continue
+			}
+			first := 2*o + 1 - int(nw.ports[v*nw.nports+o].lastVC)
+			if !nw.decideKey(v, first, &multi) {
+				nw.decideKey(v, first^1, &multi)
+			}
+		}
+	}
+}
+
+// decideKey grants candidate key of router v to its flit: the owning
+// worm's flit when the key is owned, else the requesting head the
+// key's round-robin rotor picks (the first requester after the last
+// one granted). Only decideRouter's candidate keys reach it, so the
+// chosen input's flit is in gathered and eligible. multi marks the
+// keys more than one head requests; any other key's one requester is
+// reqBy[key]. It reports whether a move was appended.
+func (nw *Network) decideKey(v, key int, multi *[2]uint64) bool {
+	base := v * nw.nin
+	kr := &nw.keys[base+key]
+	if kr.owner != nil {
+		input := int(kr.ownerInput)
+		return nw.grant(v, input, key, nw.gathered[input], false)
+	}
+	input := int(nw.reqBy[key])
+	if has(multi, key) {
+		occ := &nw.routers[v].occ
+		for i := 1; i <= nw.nin; i++ {
+			idx := (int(kr.lastGranted) + i) % nw.nin
+			if !has(occ, idx) {
+				continue
+			}
+			if g := nw.gathered[idx]; g.isHead() && g.arrivedAt < nw.now && int(g.key) == key {
+				input = idx
+				break
+			}
+		}
+	}
+	// When the downstream buffer is full, no other input can use this
+	// key more productively this cycle.
+	return nw.grant(v, input, key, nw.gathered[input], true)
+}
+
+// portDown reports whether port o of router v is faulted this cycle.
+func (nw *Network) portDown(v, o int) bool {
+	return nw.downAt != nil && nw.downAt[v*nw.nports+o] == nw.now+1
+}
+
+// grant appends the move of flit f from input through key at router v
+// when the downstream buffer has room, updating the port's VC rotor
+// and, for a head claiming the key (acquire), the key's arbitration
+// rotor. It reports whether a move was appended.
+func (nw *Network) grant(v, input, key int, f flit, acquire bool) bool {
+	next, crossed, eject := 0, false, key == nw.ejectKey()
+	if !eject {
+		// The node sinks one flit per cycle unconditionally; a fabric
+		// hop needs room downstream.
+		o := key >> 1
+		p := &nw.ports[v*nw.nports+o]
+		next = int(p.nbr)
+		if nw.keys[next*nw.nin+key].count == nw.depth {
 			return false
 		}
-		nw.lastGranted[base+key] = int32(idx)
-		return true
+		crossed = datelineHop(v, o, next)
+		p.lastVC = uint8(key & 1)
 	}
-	return false
+	if acquire {
+		nw.keys[v*nw.nin+key].lastGranted = uint8(input)
+	}
+	// Fill the new move in place, field by field: a move built on the
+	// stack from narrow stores and then copied in as wide words stalls
+	// store forwarding on every hop.
+	n := len(nw.moves)
+	if n == cap(nw.moves) {
+		nw.moves = slices.Grow(nw.moves, 1)
+	}
+	nw.moves = nw.moves[:n+1]
+	mv := &nw.moves[n]
+	mv.msg, mv.seq = f.msg, f.seq
+	mv.router, mv.dest = int32(v), int32(next)
+	mv.input, mv.outKey = uint8(input), uint8(key)
+	mv.release, mv.acquire, mv.crossed, mv.eject = f.isTail(), acquire, crossed, eject
+	return true
 }
 
 // requestKey returns the virtual output key the message's head flit
@@ -741,33 +847,6 @@ func (nw *Network) requestKey(v int, msg *Message) int {
 // one only on 0 → k−1.
 func datelineHop(v, o, next int) bool { return (o%2 == 0) == (next < v) }
 
-// buildMove checks downstream capacity for a candidate transfer and,
-// when there is room, appends the move to nw.moves in place. acquire is
-// the head flit's message when the transfer claims the output, else
-// nil. It reports whether a move was appended.
-func (nw *Network) buildMove(v, input, key int, f flit, acquire *Message) bool {
-	if key == nw.ejectKey() {
-		// The node sinks one flit per cycle unconditionally.
-		nw.moves = append(nw.moves, move{router: v, input: input, outKey: key, release: f.isTail(), acquire: acquire, eject: true})
-		return true
-	}
-	o := key / 2
-	next := int(nw.nbr[v*nw.ports+o])
-	if nw.in[next*nw.nin+key].full(nw.cfg.BufferDepth) {
-		return false
-	}
-	nw.moves = append(nw.moves, move{
-		router:  v,
-		input:   input,
-		outKey:  key,
-		release: f.isTail(),
-		acquire: acquire,
-		dest:    next,
-		crossed: datelineHop(v, o, next),
-	})
-	return true
-}
-
 // commit applies the decided transfers.
 func (nw *Network) commit() {
 	if len(nw.moves) > 0 {
@@ -775,23 +854,24 @@ func (nw *Network) commit() {
 	}
 	for i := range nw.moves {
 		mv := &nw.moves[i]
-		base := mv.router * nw.nin
-		q := &nw.in[base+mv.input]
-		f := q.pop()
-		if q.empty() {
-			nw.clrOcc(mv.router, mv.input)
-			nw.recycle(q)
-		}
-		nw.routerFlits[mv.router]--
-		if mv.acquire != nil {
-			nw.owner[base+mv.outKey] = mv.acquire
-			nw.ownerInput[base+mv.outKey] = int32(mv.input)
-			nw.own[mv.router][mv.outKey>>6] |= 1 << (mv.outKey & 63)
+		v, input, key := int(mv.router), int(mv.input), int(mv.outKey)
+		base := v * nw.nin
+		// Each input moves at most one flit per cycle, and pushes only
+		// append behind the front, so the move's flit is still the
+		// front one.
+		nw.dropFront(v, input)
+		f := flit{msg: mv.msg, seq: mv.seq}
+		if mv.acquire {
+			kr := &nw.keys[base+key]
+			kr.owner = f.msg
+			kr.ownerInput = mv.input
+			nw.keys[base+input].feeds = mv.outKey + 1
+			nw.routers[v].own[key>>6] |= 1 << (key & 63)
 			if !mv.eject {
 				// Update the worm's dateline state as its head
 				// advances; body flits inherit the reserved path.
 				// outKey = 4·dim + 2·(dir<0 ? 1 : 0) + vc.
-				if newDim := mv.outKey / 4; f.msg.curDim != newDim {
+				if newDim := key / 4; f.msg.curDim != newDim {
 					f.msg.curDim = newDim
 					f.msg.vcClass = 0
 				}
@@ -801,8 +881,9 @@ func (nw *Network) commit() {
 			}
 		}
 		if mv.release {
-			nw.owner[base+mv.outKey] = nil
-			nw.own[mv.router][mv.outKey>>6] &^= 1 << (mv.outKey & 63)
+			nw.keys[base+key].owner = nil
+			nw.keys[base+input].feeds = 0
+			nw.routers[v].own[key>>6] &^= 1 << (key & 63)
 		}
 		if mv.eject {
 			nw.flitsOut++
@@ -818,11 +899,12 @@ func (nw *Network) commit() {
 		f.arrivedAt = nw.now
 		// A fabric hop keeps its virtual channel key: the flit enters
 		// the downstream input buffer with the same index.
-		nw.pushFlit(mv.dest, mv.outKey, f)
+		dest := int(mv.dest)
+		nw.pushFlit(dest, key, f)
 		// A flit arriving this cycle cannot move before the next one
 		// (the arrivedAt >= now guard), so activating the destination
 		// now — for the next cycle's worklist — is timing-exact.
-		nw.activate(mv.dest)
+		nw.activate(dest)
 	}
 }
 
@@ -830,7 +912,7 @@ func (nw *Network) commit() {
 // no buffered flits and no queued injections contributes nothing to
 // any future cycle until traffic re-activates it. Its persistent
 // arbitration rotors (lastGranted, lastVC) and any stretched-worm
-// output ownership stay in the flat arrays, untouched, exactly as a
+// output ownership stay in the record arrays, untouched, exactly as a
 // dense sweep would leave them.
 func (nw *Network) compactActive() {
 	if nw.forceDense {
@@ -840,13 +922,13 @@ func (nw *Network) compactActive() {
 	sorted := 0 // compaction keeps order: the kept part of the prefix stays sorted
 	for i, v32 := range nw.activeIDs {
 		v := int(v32)
-		if nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
+		if nw.routers[v].flits > 0 || len(nw.injectQ[v]) > 0 {
 			if i < nw.activeSorted {
 				sorted++
 			}
 			kept = append(kept, v32)
 		} else {
-			nw.isActive[v] = false
+			nw.routers[v].active = false
 		}
 	}
 	nw.activeIDs = kept
@@ -962,7 +1044,7 @@ func (nw *Network) ResetStats() {
 func (nw *Network) inFlightFlits() int {
 	total := 0
 	for _, v := range nw.activeIDs {
-		total += int(nw.routerFlits[v])
+		total += int(nw.routers[v].flits)
 	}
 	return total
 }
@@ -971,25 +1053,49 @@ func (nw *Network) inFlightFlits() int {
 // (every flit ever accepted has either been ejected or is buffered in
 // a switch), the queued-message counter, the per-router flit counts,
 // input-occupancy and owned-output masks, every buffered head flit's
-// cached output key, and the active-worklist invariant — the worklist
-// holds exactly the routers with buffered flits or queued injections
-// (every such router, no drained ones, no duplicates). Watchdog,
-// fault, and restore code call this so no code path can silently leak
-// flits or corrupt the worklist or the routing caches. O(N·nin +
-// buffered flits), so not for per-cycle hot paths.
+// cached output key, the ring slab (every non-empty buffer holds its
+// own in-range slot, and the free list holds exactly the other slots,
+// each once), the feeds back-pointers (input i feeds key k exactly
+// when k is owned and its ownerInput is i), and the active-worklist
+// invariant — the worklist holds exactly the routers with buffered
+// flits or queued injections (every such router, no drained ones, no
+// duplicates). Watchdog, fault, and restore code call this so no code
+// path can silently leak flits or ring slots, or corrupt the worklist
+// or the routing caches. O(N·nin + slots + buffered flits), so not for
+// per-cycle hot paths.
 func (nw *Network) Check() error {
+	const (
+		slotUnused = iota
+		slotHeld
+		slotFree
+	)
+	depth := int(nw.depth)
+	slots := make([]uint8, len(nw.ring)/depth)
 	var inFlight int64
 	for v := 0; v < nw.nodes; v++ {
+		base := v * nw.nin
+		rt := &nw.routers[v]
 		sum := int32(0)
 		var occ, own [2]uint64
 		for key := 0; key < nw.nin; key++ {
-			in := &nw.in[v*nw.nin+key]
-			if in.count > 0 {
-				sum += in.count
-				occ[key>>6] |= 1 << (key & 63)
+			r := &nw.keys[base+key]
+			if r.count < 0 || r.count > nw.depth {
+				return fmt.Errorf("netsim: router %d input %d holds %d flits at cycle %d, depth is %d", v, key, r.count, nw.now, depth)
 			}
-			for n := int32(0); n < in.count; n++ {
-				f := in.buf[(int(in.head)+int(n))%len(in.buf)]
+			if r.count > 0 {
+				sum += r.count
+				occ[key>>6] |= 1 << (key & 63)
+				switch {
+				case r.slot < 0 || int(r.slot) >= len(slots) || r.head < 0 || r.head >= nw.depth:
+					return fmt.Errorf("netsim: router %d input %d ring slot %d head %d out of range at cycle %d (%d slots)",
+						v, key, r.slot, r.head, nw.now, len(slots))
+				case slots[r.slot] != slotUnused:
+					return fmt.Errorf("netsim: router %d input %d shares ring slot %d with another buffer at cycle %d", v, key, r.slot, nw.now)
+				}
+				slots[r.slot] = slotHeld
+			}
+			for n := 0; n < int(r.count); n++ {
+				f := nw.flitAt(r, n)
 				if !f.isHead() {
 					continue
 				}
@@ -998,30 +1104,54 @@ func (nw *Network) Check() error {
 						v, key, f.msg.Src, f.msg.Dst, f.key, nw.now, want)
 				}
 			}
-			if nw.owner[v*nw.nin+key] != nil {
+			if r.owner != nil {
 				own[key>>6] |= 1 << (key & 63)
+				if in := int(r.ownerInput); in >= nw.nin || int(nw.keys[base+in].feeds) != key+1 {
+					return fmt.Errorf("netsim: router %d key %d is owned through input %d, which does not feed it, at cycle %d",
+						v, key, in, nw.now)
+				}
+			}
+			if fed := int(r.feeds) - 1; fed >= 0 {
+				if fed >= nw.nin || nw.keys[base+fed].owner == nil || int(nw.keys[base+fed].ownerInput) != key {
+					return fmt.Errorf("netsim: router %d input %d claims to feed key %d, which no worm owns through it, at cycle %d",
+						v, key, fed, nw.now)
+				}
 			}
 		}
-		if sum != nw.routerFlits[v] {
+		if sum != rt.flits {
 			return fmt.Errorf("netsim: router %d flit count drifted at cycle %d: counter %d, buffers hold %d",
-				v, nw.now, nw.routerFlits[v], sum)
+				v, nw.now, rt.flits, sum)
 		}
-		if occ != nw.occ[v] {
+		if occ != rt.occ {
 			return fmt.Errorf("netsim: router %d input-occupancy mask drifted at cycle %d: mask %x, buffers %x",
-				v, nw.now, nw.occ[v], occ)
+				v, nw.now, rt.occ, occ)
 		}
-		if own != nw.own[v] {
+		if own != rt.own {
 			return fmt.Errorf("netsim: router %d owned-output mask drifted at cycle %d: mask %x, owners %x",
-				v, nw.now, nw.own[v], own)
+				v, nw.now, rt.own, own)
 		}
 		occupied := sum > 0 || len(nw.injectQ[v]) > 0
-		if occupied && !nw.isActive[v] {
+		if occupied && !rt.active {
 			return fmt.Errorf("netsim: router %d holds traffic at cycle %d but is missing from the active worklist", v, nw.now)
 		}
-		if !occupied && nw.isActive[v] && !nw.forceDense {
+		if !occupied && rt.active && !nw.forceDense {
 			return fmt.Errorf("netsim: drained router %d left on the active worklist at cycle %d", v, nw.now)
 		}
 		inFlight += int64(sum)
+	}
+	for _, s := range nw.free {
+		switch {
+		case s < 0 || int(s) >= len(slots):
+			return fmt.Errorf("netsim: free list holds ring slot %d of %d at cycle %d", s, len(slots), nw.now)
+		case slots[s] == slotHeld:
+			return fmt.Errorf("netsim: ring slot %d is on the free list but held by a buffer at cycle %d", s, nw.now)
+		case slots[s] == slotFree:
+			return fmt.Errorf("netsim: ring slot %d is on the free list twice at cycle %d", s, nw.now)
+		}
+		slots[s] = slotFree
+	}
+	if s := slices.Index(slots, slotUnused); s >= 0 {
+		return fmt.Errorf("netsim: ring slot %d leaked at cycle %d: neither held nor free", s, nw.now)
 	}
 	if nw.flitsIn != nw.flitsOut+inFlight {
 		return fmt.Errorf("netsim: flit conservation violated at cycle %d: injected %d != delivered %d + in-flight %d",
@@ -1031,7 +1161,7 @@ func (nw *Network) Check() error {
 	active := 0
 	for v := 0; v < nw.nodes; v++ {
 		q += len(nw.injectQ[v])
-		if nw.isActive[v] {
+		if nw.routers[v].active {
 			active++
 		}
 	}
@@ -1040,7 +1170,7 @@ func (nw *Network) Check() error {
 			nw.now, nw.queued, q)
 	}
 	for _, v := range nw.activeIDs {
-		if v < 0 || int(v) >= nw.nodes || !nw.isActive[v] {
+		if v < 0 || int(v) >= nw.nodes || !nw.routers[v].active {
 			return fmt.Errorf("netsim: stale worklist entry %d at cycle %d", v, nw.now)
 		}
 	}
@@ -1085,7 +1215,7 @@ func (nw *Network) DiagSnapshot() string {
 	var busyRouters []int
 	for _, v32 := range nw.activeIDs {
 		v := int(v32)
-		if nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
+		if nw.routers[v].flits > 0 || len(nw.injectQ[v]) > 0 {
 			busyRouters = append(busyRouters, v)
 		}
 	}
@@ -1101,20 +1231,20 @@ func (nw *Network) DiagSnapshot() string {
 			fmt.Fprintf(&b, " injectQ=%d", q)
 		}
 		for key := 0; key < nw.nin; key++ {
-			in := &nw.in[base+key]
-			if in.empty() {
+			r := &nw.keys[base+key]
+			if r.count == 0 {
 				continue
 			}
-			f := in.peek()
+			f := nw.front(r)
 			name := "inject"
-			if key < 2*nw.ports {
+			if key < 2*nw.nports {
 				name = fmt.Sprintf("dim%d%svc%d", key/4, map[bool]string{true: "+", false: "-"}[(key/2)%2 == 0], key%2)
 			}
 			fmt.Fprintf(&b, " %s=%dflits(head %d→%d age %d)",
-				name, in.count, f.msg.Src, f.msg.Dst, nw.now-f.arrivedAt)
+				name, r.count, f.msg.Src, f.msg.Dst, nw.now-f.arrivedAt)
 		}
 		for key := 0; key < nw.nin; key++ {
-			if owner := nw.owner[base+key]; owner != nil {
+			if owner := nw.keys[base+key].owner; owner != nil {
 				fmt.Fprintf(&b, " owner[%d]=%d→%d", key, owner.Src, owner.Dst)
 			}
 		}

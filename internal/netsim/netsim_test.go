@@ -347,58 +347,74 @@ func TestQuiescedInitially(t *testing.T) {
 	}
 }
 
+// popFlit removes and returns the front flit of non-empty input idx
+// of router v.
+func popFlit(nw *Network, v, idx int) flit {
+	f := nw.front(&nw.keys[v*nw.nin+idx])
+	nw.dropFront(v, idx)
+	return f
+}
+
+// TestFIFO drives one input buffer through the ring slab: it fills to
+// the depth, wraps, drains in order, and hands its slot back.
 func TestFIFO(t *testing.T) {
 	const depth = 2
-	var q fifo
-	if !q.empty() || q.full(depth) {
-		t.Error("fresh fifo state wrong")
+	nw := newNet(t, 4, 1, depth)
+	const v, idx = 1, 0
+	r := &nw.keys[v*nw.nin+idx]
+	if r.count != 0 || len(nw.ring) != 0 {
+		t.Error("fresh buffer state wrong")
 	}
-	m := &Message{Size: 3}
-	q.push(flit{msg: m, seq: 0}, depth)
-	q.push(flit{msg: m, seq: 1}, depth)
-	if !q.full(depth) {
-		t.Error("fifo should be full")
+	m := &Message{Size: 3, Dst: 2}
+	nw.pushFlit(v, idx, flit{msg: m, seq: 0})
+	nw.pushFlit(v, idx, flit{msg: m, seq: 1})
+	if r.count != depth || len(nw.ring) != depth {
+		t.Errorf("full buffer holds %d flits in a %d-flit slab, want %d in one slot", r.count, len(nw.ring), depth)
 	}
-	if f := q.pop(); f.seq != 0 {
+	if f := popFlit(nw, v, idx); f.seq != 0 {
 		t.Errorf("pop seq = %d, want 0", f.seq)
 	}
-	q.push(flit{msg: m, seq: 2}, depth) // wraps the ring buffer
-	if f := q.pop(); f.seq != 1 {
+	nw.pushFlit(v, idx, flit{msg: m, seq: 2}) // wraps the ring
+	if f := popFlit(nw, v, idx); f.seq != 1 {
 		t.Errorf("pop seq = %d, want 1", f.seq)
 	}
-	if f := q.pop(); f.seq != 2 {
+	if f := popFlit(nw, v, idx); f.seq != 2 {
 		t.Errorf("pop seq = %d, want 2", f.seq)
 	}
-	if !q.empty() {
-		t.Error("fifo should be empty")
+	if r.count != 0 || nw.routers[v].occ != [2]uint64{} || nw.routers[v].flits != 0 {
+		t.Error("buffer should be empty")
+	}
+	if len(nw.free) != 1 || nw.free[0] != 0 {
+		t.Errorf("drained buffer left free list %v, want its slot [0]", nw.free)
 	}
 }
 
 func TestFIFOPanics(t *testing.T) {
-	var q fifo
+	nw := newNet(t, 4, 1, 1)
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("pop of empty fifo should panic")
+				t.Error("pop of empty buffer should panic")
 			}
 		}()
-		q.pop()
+		nw.dropFront(0, 0)
 	}()
-	q.push(flit{}, 1)
+	m := &Message{Size: 2, Dst: 1}
+	nw.pushFlit(0, 0, flit{msg: m, seq: 1})
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("push to full fifo should panic")
+				t.Error("push to full buffer should panic")
 			}
 		}()
-		q.push(flit{}, 1)
+		nw.pushFlit(0, 0, flit{msg: m, seq: 1})
 	}()
 }
 
 // TestDrainedBuffersShareRingStorage checks that ring storage follows
-// occupancy: once traffic drains, no buffer holds a ring, and the
-// spare list holds no more rings than buffers were ever occupied at
-// once, far fewer than the buffers the traffic touched.
+// occupancy: once traffic drains, every slab slot is back on the free
+// list, and the slab holds no more slots than buffers were ever
+// occupied at once, far fewer than the buffers the traffic touched.
 func TestDrainedBuffersShareRingStorage(t *testing.T) {
 	nw := newNet(t, 8, 2, 4)
 	touched := map[int]bool{}
@@ -417,8 +433,8 @@ func TestDrainedBuffersShareRingStorage(t *testing.T) {
 		for !nw.Quiesced() {
 			nw.Step()
 			held := 0
-			for i := range nw.in {
-				if nw.in[i].buf != nil {
+			for i := range nw.keys {
+				if nw.keys[i].count > 0 {
 					touched[i] = true
 					held++
 				}
@@ -426,15 +442,17 @@ func TestDrainedBuffersShareRingStorage(t *testing.T) {
 			maxHeld = max(maxHeld, held)
 		}
 	}
-	for i := range nw.in {
-		if nw.in[i].buf != nil {
-			t.Fatalf("drained buffer %d still holds ring storage", i)
-		}
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
 	}
-	if len(nw.spare) == 0 || len(nw.spare) > maxHeld {
-		t.Errorf("%d spare rings, want 1..%d (most buffers occupied at once)", len(nw.spare), maxHeld)
+	slots := len(nw.ring) / int(nw.depth)
+	if len(nw.free) != slots {
+		t.Fatalf("drained fabric has %d of its %d slots on the free list", len(nw.free), slots)
 	}
-	if len(nw.spare) >= len(touched) {
-		t.Errorf("%d spare rings for %d buffers touched: drained rings are not reused", len(nw.spare), len(touched))
+	if slots == 0 || slots > maxHeld {
+		t.Errorf("%d slots allocated, want 1..%d (most buffers occupied at once)", slots, maxHeld)
+	}
+	if slots >= len(touched) {
+		t.Errorf("%d slots for %d buffers touched: drained slots are not reused", slots, len(touched))
 	}
 }

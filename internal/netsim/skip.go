@@ -76,7 +76,7 @@ func (nw *Network) SkipTo(nowN int64) {
 	}
 	if nw.cfg.Faults != nil && nowN > nw.now {
 		bulk := nw.cfg.Faults.(bulkFaultCounter)
-		channels := nw.nodes * nw.ports
+		channels := nw.nodes * nw.nports
 		for ch := 0; ch < channels; ch++ {
 			nw.faultStalls.Addn(bulk.CountDown(ch, nw.now, nowN))
 		}

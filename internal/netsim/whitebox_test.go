@@ -1,15 +1,116 @@
 package netsim
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"locality/internal/topology"
 )
 
 // White-box tests for the routing internals: virtual-channel dateline
-// discipline, minimal-direction tie balancing, and the precomputed
-// neighbor table and dateline rule the hot path uses.
+// discipline, minimal-direction tie balancing, the precomputed
+// neighbor table and dateline rule the hot path uses, and the router
+// records and ring slab that Check guards.
+
+// TestKeyRecordSize pins the per-key record: an owner pointer, the
+// buffer's ring slot, head and count, and three byte-wide fields fit
+// in 24 B on a 64-bit host. The parallel per-key slices it replaced
+// (buffer, owner, owner input, rotor) took 48 B.
+func TestKeyRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(keyRec{}); size > 24 {
+		t.Errorf("keyRec is %d B, want ≤ 24", size)
+	}
+}
+
+// busyNet drives random long worms through a 4×4 torus until its
+// state shows every structure Check guards: buffers holding ring
+// slots, slots on the free list, and owned keys fed by their inputs.
+func busyNet(t *testing.T) *Network {
+	t.Helper()
+	nw := newNet(t, 4, 2, 2)
+	nw.SetDelivery(func(now int64, m *Message) {})
+	rng := rand.New(rand.NewSource(5))
+	for cycle := 0; cycle < 5000; cycle++ {
+		if rng.Intn(3) == 0 {
+			sendRandom(t, rng, nw)
+		}
+		nw.Step()
+		feeding := slices.ContainsFunc(nw.keys, func(r keyRec) bool { return r.feeds != 0 })
+		if len(nw.free) >= 2 && nw.inFlightFlits() > 0 && feeding {
+			if err := nw.Check(); err != nil {
+				t.Fatal(err)
+			}
+			return nw
+		}
+	}
+	t.Fatal("traffic never filled the slab, freed slots and held keys at once")
+	return nil
+}
+
+// TestCheckRejectsCorruptRingAndFeeds mutates the ring slab's free
+// list, a buffer's slot and the feeds back-pointers one at a time;
+// Check must reject each.
+func TestCheckRejectsCorruptRingAndFeeds(t *testing.T) {
+	// held returns the index of a record whose buffer holds a slot.
+	held := func(nw *Network) int {
+		return slices.IndexFunc(nw.keys, func(r keyRec) bool { return r.count > 0 })
+	}
+	// feeding returns the index of an input that feeds an owned key.
+	feeding := func(nw *Network) int {
+		return slices.IndexFunc(nw.keys, func(r keyRec) bool { return r.feeds != 0 })
+	}
+	cases := []struct {
+		name    string
+		corrupt func(nw *Network)
+	}{
+		{"double-freed slot", func(nw *Network) { nw.free = append(nw.free, nw.free[0]) }},
+		{"held slot freed", func(nw *Network) { nw.free = append(nw.free, nw.keys[held(nw)].slot) }},
+		{"leaked slot", func(nw *Network) { nw.free = nw.free[1:] }},
+		{"shared slot", func(nw *Network) {
+			i := held(nw)
+			j := i + 1 + slices.IndexFunc(nw.keys[i+1:], func(r keyRec) bool { return r.count > 0 })
+			if j == i {
+				t.Fatal("only one buffer holds flits")
+			}
+			nw.free = append(nw.free, nw.keys[j].slot)
+			nw.keys[j].slot = nw.keys[i].slot
+		}},
+		{"stale feeds", func(nw *Network) {
+			i := feeding(nw)
+			v := i / nw.nin
+			key := int(nw.keys[i].feeds) - 1
+			// The owner moves its feed to another input of the router;
+			// the old input still claims it.
+			other := v*nw.nin + (i%nw.nin+1)%nw.nin
+			if nw.keys[other].feeds != 0 {
+				t.Fatal("neighboring input already feeds a key")
+			}
+			nw.keys[v*nw.nin+key].ownerInput = uint8(other % nw.nin)
+			nw.keys[other].feeds = uint8(key + 1)
+		}},
+		{"cleared feeds", func(nw *Network) { nw.keys[feeding(nw)].feeds = 0 }},
+		{"feeds without owner", func(nw *Network) {
+			i := feeding(nw)
+			key := int(nw.keys[i].feeds) - 1
+			v := i / nw.nin
+			nw.keys[v*nw.nin+key].owner = nil
+			nw.routers[v].own[key>>6] &^= 1 << (key & 63)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := busyNet(t)
+			tc.corrupt(nw)
+			if err := nw.Check(); err == nil {
+				t.Error("Check accepted the corrupted state")
+			} else {
+				t.Log(err)
+			}
+		})
+	}
+}
 
 // crossesDateline is the coordinate-based reference for whether
 // traversing port o out of router v crosses the ring's wraparound
@@ -26,7 +127,7 @@ func crossesDateline(tor *topology.Torus, v, o int) bool {
 // tableCrossesDateline is the rule buildMove applies, on the neighbor
 // table.
 func tableCrossesDateline(nw *Network, v, o int) bool {
-	return datelineHop(v, o, int(nw.nbr[v*nw.ports+o]))
+	return datelineHop(v, o, int(nw.ports[v*nw.nports+o].nbr))
 }
 
 func TestCrossesDateline(t *testing.T) {
@@ -76,13 +177,13 @@ func TestNeighborTableMatchesTopology(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := 0; v < tor.Nodes(); v++ {
-			for o := 0; o < nw.ports; o++ {
+			for o := 0; o < nw.nports; o++ {
 				dir := 1
 				if o%2 == 1 {
 					dir = -1
 				}
-				if got, want := int(nw.nbr[v*nw.ports+o]), tor.Neighbor(v, o/2, dir); got != want {
-					t.Fatalf("%v: nbr[router %d, port %d] = %d, topology neighbor %d", tor, v, o, got, want)
+				if got, want := int(nw.ports[v*nw.nports+o].nbr), tor.Neighbor(v, o/2, dir); got != want {
+					t.Fatalf("%v: router %d port %d neighbor entry %d, topology neighbor %d", tor, v, o, got, want)
 				}
 				if got, want := tableCrossesDateline(nw, v, o), crossesDateline(tor, v, o); got != want {
 					t.Fatalf("%v: router %d port %d: table dateline rule %v, coordinate test %v", tor, v, o, got, want)
@@ -160,8 +261,8 @@ func headHops(t *testing.T, nw *Network, src, dst int) ([]topology.Hop, []int) {
 		for _, v32 := range nw.activeIDs {
 			v := int(v32)
 			for idx := 0; idx < nw.injectIn(); idx++ {
-				q := &nw.in[v*nw.nin+idx]
-				if q.empty() || q.peek().msg != msg || !q.peek().isHead() || (v == at && idx == in) {
+				r := &nw.keys[v*nw.nin+idx]
+				if r.count == 0 || nw.front(r).msg != msg || !nw.front(r).isHead() || (v == at && idx == in) {
 					continue
 				}
 				o := idx / 2
